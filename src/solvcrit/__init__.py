@@ -29,7 +29,6 @@ from .engine import (
     build_group,
     contains,
     enumerate_elements,
-    generated_subgroup,
     group_order,
     normal_closure,
 )
@@ -50,11 +49,8 @@ from .permutation import (
     CycleParseError,
     DegreeMismatchError,
     Permutation,
-    compose,
-    element_order,
     format_cycles,
     parse_cycles,
-    support,
 )
 from .structure import (
     ConjugacyClass,

@@ -5,7 +5,7 @@ witness verify/search, ppd, zsigmondy-scan, alt-pair, phi, verify-table.
 
 Exit codes: 0 all checks pass, 1 a verification failed (counterexample or
 mismatch found), 2 usage or data error.  Output is deterministic: identical
-across runs and across --workers settings.
+across runs.
 """
 
 from __future__ import annotations
@@ -58,23 +58,15 @@ def _add_group_args(parser: argparse.ArgumentParser) -> None:
     sel.add_argument("--file", help="path to a group-definition file")
 
 
-def _add_common(parser: argparse.ArgumentParser, workers: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "tsv", "json"),
                         default="text")
-    if workers:
-        parser.add_argument("--workers", type=int, default=1,
-                            help="parallel workers (output is identical "
-                                 "for any value)")
 
 
 def _resolve(args) -> GroupHandle:
     if args.group:
         return catalog_group(args.group)
     return load_group_file(args.file)
-
-
-def _perm_str(p) -> str:
-    return str(p)
 
 
 def _cmd_order(args) -> int:
@@ -121,11 +113,11 @@ def _cmd_classes(args) -> int:
     out.payload = {
         "label": group.label,
         "classes": [{"index": i, "element_order": c.order_of_elements,
-                     "size": c.size, "representative": _perm_str(c.representative)}
+                     "size": c.size, "representative": str(c.representative)}
                     for i, c in enumerate(classes)]}
     lines = [f"{group.label or 'group'}: {len(classes)} conjugacy classes"]
     for i, c in enumerate(classes):
-        out.row(i, c.order_of_elements, c.size, _perm_str(c.representative))
+        out.row(i, c.order_of_elements, c.size, c.representative)
         lines.append(f"  #{i}: element order {c.order_of_elements}, "
                      f"size {c.size}, rep {c.representative}")
     out.emit(lines)
@@ -134,7 +126,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_criterion(args) -> int:
     group = _resolve(args)
-    report = check_criterion(group, workers=args.workers)
+    report = check_criterion(group)
     out = _Output(args.format)
     out.payload = {
         "label": group.label,
@@ -166,7 +158,7 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_witness_verify(args) -> int:
     group = _resolve(args)
-    report = verify_witness_pair(group, args.a, args.b, workers=args.workers)
+    report = verify_witness_pair(group, args.a, args.b)
     out = _Output(args.format)
     outcome_list = sorted(
         (order, solvable, count)
@@ -186,7 +178,7 @@ def _cmd_witness_verify(args) -> int:
                      f"({'solvable' if s else 'nonsolvable'}): {c} pairs")
     if report.counterexample is not None:
         x, y = report.counterexample
-        out.payload["counterexample"] = {"x": _perm_str(x), "y": _perm_str(y)}
+        out.payload["counterexample"] = {"x": str(x), "y": str(y)}
         lines.append(f"  counterexample: x = {x}, y = {y}")
     out.emit(lines)
     return OK if report.verified else FAILED
@@ -194,8 +186,7 @@ def _cmd_witness_verify(args) -> int:
 
 def _cmd_witness_search(args) -> int:
     group = _resolve(args)
-    pairs = search_witness_pairs(group, restrict_to_primes=args.primes,
-                                 workers=args.workers)
+    pairs = search_witness_pairs(group, restrict_to_primes=args.primes)
     out = _Output(args.format)
     out.payload = {"label": group.label, "primes_only": args.primes,
                    "witness_pairs": [list(p) for p in pairs]}
@@ -280,7 +271,7 @@ def _cmd_verify_table(args) -> int:
     else:
         with open(args.table, encoding="utf-8") as fh:
             rows = parse_expected_table(fh.read())
-    results = verify_expected_table(rows, workers=args.workers)
+    results = verify_expected_table(rows)
     out = _Output(args.format)
     out.payload = {"rows": []}
     lines = []
@@ -305,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "for finite permutation groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def group_cmd(name, func, help_text, workers=False):
+    def group_cmd(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         _add_group_args(p)
-        _add_common(p, workers=workers)
+        _add_common(p)
         p.set_defaults(func=func)
         return p
 
@@ -317,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_cmd("spectrum", _cmd_spectrum, "element-order spectrum oe(G)")
     group_cmd("classes", _cmd_classes, "conjugacy classes")
     group_cmd("criterion", _cmd_criterion,
-              "per-class-pair solvable-witness check", workers=True)
+              "per-class-pair solvable-witness check")
 
     witness = sub.add_parser("witness", help="nonsolvable witness pairs")
     wsub = witness.add_subparsers(dest="witness_command", required=True)
@@ -325,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     wverify.add_argument("a", type=int)
     wverify.add_argument("b", type=int)
     _add_group_args(wverify)
-    _add_common(wverify, workers=True)
+    _add_common(wverify)
     wverify.set_defaults(func=_cmd_witness_verify)
     wsearch = wsub.add_parser("search", help="search all verifying pairs")
     wsearch.add_argument("--primes", action="store_true",
                          help="distinct prime pairs only")
     _add_group_args(wsearch)
-    _add_common(wsearch, workers=True)
+    _add_common(wsearch)
     wsearch.set_defaults(func=_cmd_witness_search)
 
     ppd_p = sub.add_parser("ppd", help="primitive prime divisors of q^e - 1")
@@ -367,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check an expected-outcomes table")
     vt.add_argument("table", nargs="?", default=None,
                     help="table path (default: shipped sporadic table)")
-    _add_common(vt, workers=True)
+    _add_common(vt)
     vt.set_defaults(func=_cmd_verify_table)
 
     return parser

@@ -11,18 +11,18 @@ Two predicates drive everything here:
 Both reduce the pair scan by conjugation equivariance: <x, y> and
 <x^g, y^g> are conjugate, hence share order and solvability, so one side of
 the scan may be fixed to class representatives.  Scans are deterministic
-(enumeration order, first hit wins) and embarrassingly parallel over y-blocks;
-reports are identical for any worker count.
+(enumeration order, first hit wins), and both run through one core,
+``_PairJudge.first_solvable``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .engine import GroupHandle, StabilizerChain
+from .numbertheory import is_prime
 from .permutation import Permutation
 from .structure import (
     ConjugacyClass,
@@ -32,8 +32,6 @@ from .structure import (
     is_solvable,
     order_spectrum,
 )
-
-_SCAN_BLOCK = 64
 
 
 class OrderNotInSpectrumError(ValueError):
@@ -98,78 +96,50 @@ class WitnessReport:
 class _PairJudge:
     """Memoized (order, solvable) verdicts for two-generated subgroups.
 
-    The cache key is the sorted generator pair, so duplicate pairs are never
-    recomputed; caching cannot change any verdict.  A subgroup whose order
+    The cache key is the sorted generator pair, so (x, y) and (y, x) share
+    one verdict; caching cannot change any verdict.  A subgroup whose order
     equals the parent's order *is* the parent, so the parent's solvability
     is reused without rerunning the derived series.
     """
 
     __slots__ = ("degree", "parent_order", "parent_solvable", "cache")
 
-    def __init__(self, degree: int, parent_order: int, parent_solvable: bool,
-                 use_cache: bool = True):
-        self.degree = degree
-        self.parent_order = parent_order
-        self.parent_solvable = parent_solvable
-        self.cache: dict | None = {} if use_cache else None
+    def __init__(self, group: GroupHandle):
+        self.degree = group.degree
+        self.parent_order = group.order()
+        self.parent_solvable = is_solvable(group).solvable
+        self.cache: dict = {}
 
     def verdict(self, x: tuple, y: tuple) -> tuple:
         key = (x, y) if x <= y else (y, x)
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit
         order = StabilizerChain.build(key, self.degree).order()
         if order == self.parent_order:
             solvable = self.parent_solvable
         else:
             solvable = _solvability_tuples(key, self.degree, order).solvable
         result = (order, solvable)
-        if self.cache is not None:
-            self.cache[key] = result
+        self.cache[key] = result
         return result
 
+    def first_solvable(self, x: tuple, ys: Iterable[tuple],
+                       outcomes: Counter) -> tuple | None:
+        """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
-def _verdict_block(args: tuple) -> list:
-    degree, parent_order, parent_solvable, x, ys = args
-    judge = _PairJudge(degree, parent_order, parent_solvable)
-    return [judge.verdict(x, y) for y in ys]
-
-
-class _Scanner:
-    """Runs (x, ys) verdict scans sequentially or over a process pool.
-
-    Parallel scans compute whole blocks, but verdicts are consumed strictly
-    in enumeration order, so early-exit decisions (and hence reports) match
-    the single-worker run byte for byte.
-    """
-
-    def __init__(self, judge: _PairJudge, workers: int):
-        self.judge = judge
-        self.workers = max(1, workers)
-        self._pool = None
-
-    def __enter__(self) -> "_Scanner":
-        if self.workers > 1:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def verdicts(self, x: tuple, ys: Sequence[tuple]) -> Iterable[tuple]:
-        if self._pool is None:
-            judge = self.judge
-            return (judge.verdict(x, y) for y in ys)
-        blocks = [ys[i:i + _SCAN_BLOCK] for i in range(0, len(ys), _SCAN_BLOCK)]
-        tasks = [(self.judge.degree, self.judge.parent_order,
-                  self.judge.parent_solvable, x, block) for block in blocks]
-        block_results = self._pool.map(_verdict_block, tasks)
-        return (v for block in block_results for v in block)
+        Every verdict on the way, the solvable one included, is tallied in
+        ``outcomes``.
+        """
+        for y in ys:
+            verdict = self.verdict(x, y)
+            outcomes[verdict] += 1
+            if verdict[1]:
+                return y
+        return None
 
 
-def check_criterion(group: GroupHandle, workers: int = 1) -> CriterionReport:
+def check_criterion(group: GroupHandle) -> CriterionReport:
     """Check every ordered pair of conjugacy classes for a solvable witness.
 
     For each ordered pair (C, D) the scan fixes x at C's representative and
@@ -180,56 +150,46 @@ def check_criterion(group: GroupHandle, workers: int = 1) -> CriterionReport:
     classes = conjugacy_classes(group)
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
                  for i, c in enumerate(classes))
-    parent = is_solvable(group)
-    judge = _PairJudge(group.degree, group.order(), parent.solvable)
+    judge = _PairJudge(group)
     witnesses: dict = {}
-    pairs_checked = 0
-    examined = 0
+    tally: Counter = Counter()
 
-    with _Scanner(judge, workers) as scanner:
-        for i, class_c in enumerate(classes):
-            x = class_c.representative.images
-            for j, class_d in enumerate(classes):
-                pairs_checked += 1
-                ys = [m.images for m in class_d.members]
-                witness = None
-                for y, (order, solvable) in zip(ys, scanner.verdicts(x, ys)):
-                    examined += 1
-                    if solvable:
-                        witness = (Permutation._wrap(x), Permutation._wrap(y))
-                        break
-                if witness is not None:
-                    witnesses[(i, j)] = witness
-                    continue
-                _recheck_counterexample(judge, class_c, class_d)
-                return CriterionReport(
-                    holds=False, classes=refs, pairs_checked=pairs_checked,
-                    solvable_witnesses=witnesses,
-                    counterexample=(refs[i], refs[j]),
-                    counterexample_rechecked=True,
-                    subgroups_examined=examined)
+    for i, class_c in enumerate(classes):
+        x = class_c.representative
+        for j, class_d in enumerate(classes):
+            y = judge.first_solvable(
+                x.images, (m.images for m in class_d.members), tally)
+            if y is not None:
+                witnesses[(i, j)] = (x, Permutation._wrap(y))
+                continue
+            _recheck_counterexample(judge, class_c, class_d)
+            return CriterionReport(
+                holds=False, classes=refs, pairs_checked=len(witnesses) + 1,
+                solvable_witnesses=witnesses,
+                counterexample=(refs[i], refs[j]),
+                counterexample_rechecked=True,
+                subgroups_examined=sum(tally.values()))
 
     return CriterionReport(holds=True, classes=refs,
-                           pairs_checked=pairs_checked,
+                           pairs_checked=len(witnesses),
                            solvable_witnesses=witnesses,
-                           subgroups_examined=examined)
+                           subgroups_examined=sum(tally.values()))
 
 
 def _recheck_counterexample(judge: _PairJudge, class_c: ConjugacyClass,
                             class_d: ConjugacyClass) -> None:
     # Exhaustive confirmation over the full rectangle; the reduced scan's
     # soundness rests on conjugation equivariance, this rests on nothing.
+    ys = [m.images for m in class_d.members]
+    unused_tally: Counter = Counter()
     for xm in class_c.members:
-        for ym in class_d.members:
-            order, solvable = judge.verdict(xm.images, ym.images)
-            if solvable:
-                raise AssertionError(
-                    "reduced scan missed a solvable pair; conjugation "
-                    "equivariance violated (engine bug)")
+        if judge.first_solvable(xm.images, ys, unused_tally) is not None:
+            raise AssertionError(
+                "reduced scan missed a solvable pair; conjugation "
+                "equivariance violated (engine bug)")
 
 
 def verify_witness_pair(group: GroupHandle, a: int, b: int,
-                        workers: int = 1,
                         classes: Sequence[ConjugacyClass] | None = None,
                         ) -> WitnessReport:
     """Check that every (x, y) with |x| = a, |y| = b generates nonsolvably.
@@ -247,34 +207,23 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int,
         raise OrderNotInSpectrumError(f"no element of order {b} in the group")
     ys = [p.images for p in elements_of_order(group, b)]
 
-    parent = is_solvable(group)
-    judge = _PairJudge(group.degree, group.order(), parent.solvable)
+    judge = _PairJudge(group)
     outcomes: Counter = Counter()
     counterexample = None
-    pairs_checked = 0
-
-    with _Scanner(judge, workers) as scanner:
-        for rep in reps_a:
-            x = rep.images
-            for y, verdict in zip(ys, scanner.verdicts(x, ys)):
-                pairs_checked += 1
-                outcomes[verdict] += 1
-                if verdict[1]:
-                    counterexample = (Permutation._wrap(x),
-                                      Permutation._wrap(y))
-                    break
-            if counterexample is not None:
-                break
+    for rep in reps_a:
+        y = judge.first_solvable(rep.images, ys, outcomes)
+        if y is not None:
+            counterexample = (rep, Permutation._wrap(y))
+            break
 
     return WitnessReport(a=a, b=b, verified=counterexample is None,
                          outcome_orders=dict(outcomes),
                          counterexample=counterexample,
-                         pairs_checked=pairs_checked)
+                         pairs_checked=sum(outcomes.values()))
 
 
 def search_witness_pairs(group: GroupHandle,
-                         restrict_to_primes: bool = False,
-                         workers: int = 1) -> list:
+                         restrict_to_primes: bool = False) -> list:
     """All unordered order pairs {a, b} that verify as witness pairs.
 
     Pairs are drawn from the group's order spectrum (a = b permitted) and
@@ -286,25 +235,13 @@ def search_witness_pairs(group: GroupHandle,
     candidates = []
     for i, a in enumerate(spectrum.orders):
         for b in spectrum.orders[i:]:
-            if restrict_to_primes and (a == b or not _is_prime(a)
-                                       or not _is_prime(b)):
+            if restrict_to_primes and (a == b or not is_prime(a)
+                                       or not is_prime(b)):
                 continue
             candidates.append((a, b))
     found = []
     for a, b in candidates:
-        report = verify_witness_pair(group, a, b, workers=workers,
-                                     classes=classes)
+        report = verify_witness_pair(group, a, b, classes=classes)
         if report.verified:
             found.append((a, b))
     return found
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

@@ -292,12 +292,6 @@ def build_group(generators: Sequence[Permutation],
     return GroupHandle(gens, chain, label, gen_tuples)
 
 
-def generated_subgroup(elements: Sequence[Permutation],
-                       label: str | None = None) -> GroupHandle:
-    """The subgroup generated by the given elements."""
-    return build_group(elements, label)
-
-
 def group_order(group: GroupHandle) -> int:
     return group.chain.order()
 
@@ -306,16 +300,24 @@ def contains(group: GroupHandle, p: Permutation) -> bool:
     return group.chain.contains_tuple(p.images)
 
 
-def enumerate_elements(group: GroupHandle,
-                       cap: int | None = None) -> Iterator[Permutation]:
-    """Yield every element exactly once, in deterministic order."""
-    limit = enumeration_cap() if cap is None else cap
+def _element_tuples(group: GroupHandle) -> Iterator[tuple]:
+    """Every element's image tuple, exactly once, in enumeration order.
+
+    This is the one place the enumeration cap is enforced: it raises
+    before anything is enumerated.
+    """
     order = group.order()
+    limit = enumeration_cap()
     if order > limit:
         raise EnumerationCapExceeded(
             f"group order {order} exceeds enumeration cap {limit}; "
             f"raise {ENUM_CAP_ENV} or use class-based algorithms")
-    return (Permutation._wrap(t) for t in group.chain.iter_tuples())
+    return group.chain.iter_tuples()
+
+
+def enumerate_elements(group: GroupHandle) -> Iterator[Permutation]:
+    """Yield every element exactly once, in deterministic order."""
+    return (Permutation._wrap(t) for t in _element_tuples(group))
 
 
 def normal_closure(group: GroupHandle,

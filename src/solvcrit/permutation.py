@@ -9,7 +9,7 @@ then q", i.e. ``(p * q)(x) = q(p(x))``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class CycleParseError(ValueError):
@@ -140,11 +140,7 @@ class Permutation:
         return format_cycles(self)
 
     def __repr__(self) -> str:
-        return f"Permutation.parse({format_cycles(self)!r}, degree={self.degree})"
-
-    @classmethod
-    def parse(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
+        return f"parse_cycles({format_cycles(self)!r}, {self.degree})"
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -199,24 +195,3 @@ def format_cycles(p: Permutation) -> str:
     if not cycles:
         return "()"
     return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply p, then q (the package-wide composition convention)."""
-    return p * q
-
-
-def element_order(p: Permutation) -> int:
-    return p.order()
-
-
-def support(p: Permutation) -> frozenset:
-    return p.support()
-
-
-def all_permutations(degree: int) -> Iterator[Permutation]:
-    """Every permutation of {1..degree}, in lexicographic image order."""
-    import itertools
-
-    for img in itertools.permutations(range(degree)):
-        yield Permutation._wrap(img)

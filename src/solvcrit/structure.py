@@ -8,13 +8,12 @@ from typing import Iterator, Sequence
 from .engine import (
     GroupHandle,
     StabilizerChain,
+    _element_tuples,
     _inv,
     _mult,
     _normal_closure_tuples,
     _tuple_order,
     build_group,
-    enumerate_elements,
-    enumeration_cap,
 )
 from .permutation import Permutation
 
@@ -122,7 +121,7 @@ def conjugacy_classes(group: GroupHandle) -> list:
     enumeration order); each class representative is its earliest member.
     Requires the group to be within the enumeration cap.
     """
-    elements = [p.images for p in enumerate_elements(group)]
+    elements = list(_element_tuples(group))
     position = {t: i for i, t in enumerate(elements)}
     conjugators = [(_inv(g), g) for g in group._gen_tuples]
 
@@ -160,7 +159,7 @@ def conjugacy_classes(group: GroupHandle) -> list:
 def order_spectrum(group: GroupHandle) -> OrderSpectrum:
     """oe(G): the exact set of element orders of the group."""
     orders = set()
-    for t in _iter_element_tuples(group):
+    for t in _element_tuples(group):
         orders.add(_tuple_order(t))
     return OrderSpectrum(tuple(sorted(orders)), group.order())
 
@@ -169,18 +168,6 @@ def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order."""
     if m < 1:
         raise ValueError("order must be positive")
-    for t in _iter_element_tuples(group):
+    for t in _element_tuples(group):
         if _tuple_order(t) == m:
             yield Permutation._wrap(t)
-
-
-def _iter_element_tuples(group: GroupHandle) -> Iterator[tuple]:
-    order = group.order()
-    cap = enumeration_cap()
-    if order > cap:
-        from .engine import ENUM_CAP_ENV, EnumerationCapExceeded
-
-        raise EnumerationCapExceeded(
-            f"group order {order} exceeds enumeration cap {cap}; "
-            f"raise {ENUM_CAP_ENV} or use class-based algorithms")
-    return group.chain.iter_tuples()

@@ -105,7 +105,7 @@ def load_shipped_table() -> list:
 
 def verify_expected_table(rows: Sequence[ExpectedOutcomeRow],
                           resolve: Callable[[str], GroupHandle] | None = None,
-                          workers: int = 1) -> list:
+                          ) -> list:
     """Check each desk-scale row with ``verify_witness_pair``.
 
     A row passes when the pair verifies (no solvable subgroup) and every
@@ -129,7 +129,7 @@ def verify_expected_table(rows: Sequence[ExpectedOutcomeRow],
                 f"order {group.order()} exceeds enumeration cap"))
             continue
         try:
-            report = verify_witness_pair(group, row.a, row.b, workers=workers)
+            report = verify_witness_pair(group, row.a, row.b)
         except EnumerationCapExceeded as exc:
             results.append(RowResult(row, SKIPPED, str(exc)))
             continue

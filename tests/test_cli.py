@@ -141,42 +141,60 @@ class TestErrors:
         code, _, err = run("ppd", "6", "3")
         assert code == 2
 
+    def test_workers_flag_is_a_usage_error(self, capsys):
+        for argv in (["criterion", "--group", "A5"],
+                     ["witness", "verify", "3", "5", "--group", "A5"],
+                     ["witness", "search", "--group", "A5"],
+                     ["verify-table"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", "2"])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
-class TestDeterminismAcrossWorkers:
+
+def _child_env(**extra) -> dict:
+    # the child imports solvcrit from where this process did, so it runs
+    # the code under test whether that is src/ or site-packages
+    package_root = str(Path(solvcrit.__file__).resolve().parents[1])
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **extra}
+
+
+class TestDeterminismAcrossProcesses:
+    def _capture_twice(self, *argv):
+        return [subprocess.run([sys.executable, "-m", "solvcrit", *argv],
+                               capture_output=True, text=True,
+                               env=_child_env(PYTHONHASHSEED=seed))
+                for seed in ("0", "1")]
+
     def test_criterion_output_identical(self):
-        def capture(workers):
-            return subprocess.run(
-                [sys.executable, "-m", "solvcrit", "criterion", "--group",
-                 "S4", "--workers", workers, "--format", "json"],
-                capture_output=True, text=True)
-
-        one = capture("1")
-        two = capture("2")
+        one, two = self._capture_twice(
+            "criterion", "--group", "S4", "--format", "json")
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
 
     def test_witness_output_identical(self):
-        def capture(workers):
-            return subprocess.run(
-                [sys.executable, "-m", "solvcrit", "witness", "verify", "3",
-                 "5", "--group", "A6", "--workers", workers],
-                capture_output=True, text=True)
-
-        one = capture("1")
-        two = capture("2")
+        one, two = self._capture_twice(
+            "witness", "verify", "3", "5", "--group", "A6")
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
 
 
 class TestEnumCapEnv:
     def test_cap_env_respected(self):
-        # the child imports solvcrit from where this process did, so it
-        # runs the code under test whether that is src/ or site-packages
-        package_root = str(Path(solvcrit.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "solvcrit", "spectrum", "--group", "A5"],
             capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root,
-                 "SOLVCRIT_ENUM_CAP": "10"})
+            env=_child_env(SOLVCRIT_ENUM_CAP="10"))
         assert proc.returncode == 2
         assert "cap" in proc.stderr
+
+
+class TestImportCost:
+    def test_import_starts_no_process_machinery(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, solvcrit; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+            capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

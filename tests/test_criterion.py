@@ -10,9 +10,9 @@ from solvcrit.criterion import (
     search_witness_pairs,
     verify_witness_pair,
 )
-from solvcrit.engine import enumerate_elements, generated_subgroup, group_order
+from solvcrit.engine import build_group, enumerate_elements
 from solvcrit.permutation import parse_cycles
-from solvcrit.structure import conjugacy_classes, is_solvable
+from solvcrit.structure import conjugacy_classes, elements_of_order, is_solvable
 
 
 def perm(text, degree):
@@ -36,7 +36,7 @@ class TestCheckCriterion:
         for (i, j), (x, y) in report.solvable_witnesses.items():
             assert x in set(classes[i].members)
             assert y in set(classes[j].members)
-            assert is_solvable(generated_subgroup([x, y])).solvable
+            assert is_solvable(build_group([x, y])).solvable
 
     def test_a5_fails_on_three_five_pair(self, group):
         report = check_criterion(group("A5"))
@@ -90,7 +90,7 @@ class TestVerifyWitnessPair:
         report = verify_witness_pair(group("A5"), 2, 3)
         assert not report.verified
         x, y = report.counterexample
-        sub = generated_subgroup([x, y])
+        sub = build_group([x, y])
         assert is_solvable(sub).solvable
         assert (x.order(), y.order()) == (2, 3)
 
@@ -144,10 +144,10 @@ class TestReductionSoundness:
         rng = random.Random(17)
         x = perm("(1 2)(3 4)", 5)
         y = perm("(1 2 3)", 5)
-        base = is_solvable(generated_subgroup([x, y])).solvable
+        base = is_solvable(build_group([x, y])).solvable
         for _ in range(25):
             t = rng.choice(elems)
-            conjugated = generated_subgroup(
+            conjugated = build_group(
                 [t.inverse() * x * t, t.inverse() * y * t])
             assert is_solvable(conjugated).solvable == base
 
@@ -161,20 +161,31 @@ class TestReductionSoundness:
             classes = conjugacy_classes(g)
             x = classes[report.counterexample[0].index].representative
             y = classes[report.counterexample[1].index].members[0]
-            assert not is_solvable(generated_subgroup([x, y])).solvable
+            assert not is_solvable(build_group([x, y])).solvable
 
 
 class TestCacheCoherence:
     def test_cached_and_uncached_verdicts_agree(self, group):
+        # the first call computes each verdict, the repeat reads the cache;
+        # both must match the brute-force closure and derived series
         g = group("A5")
         elems = list(enumerate_elements(g))
         rng = random.Random(3)
-        cached = _PairJudge(5, 60, False, use_cache=True)
-        raw = _PairJudge(5, 60, False, use_cache=False)
+        judge = _PairJudge(g)
         pairs = [(rng.choice(elems).images, rng.choice(elems).images)
                  for _ in range(120)]
-        for x, y in pairs * 2:
-            assert cached.verdict(x, y) == raw.verdict(x, y)
+        expected = {}
+        for x, y in pairs:
+            sub = oracles.closure([x, y], g.degree)
+            expected[x, y] = (len(sub),
+                              oracles.brute_is_solvable(sub, g.degree))
+        for x, y in pairs:
+            assert judge.verdict(x, y) == expected[x, y]
+        cached = len(judge.cache)
+        for x, y in pairs:
+            assert judge.verdict(x, y) == expected[x, y]
+            assert judge.verdict(y, x) == expected[x, y]
+        assert len(judge.cache) == cached
 
 
 class TestSearchWitnessPairs:
@@ -200,20 +211,23 @@ class TestSearchWitnessPairs:
         assert all(a != b for a, b in pairs)
 
 
-class TestWorkers:
-    def test_reports_identical_across_worker_counts(self, group):
-        g = group("A6")
-        seq = verify_witness_pair(g, 3, 5, workers=1)
-        par = verify_witness_pair(g, 3, 5, workers=2)
-        assert seq == par
-        c1 = check_criterion(group("S4"), workers=1)
-        c2 = check_criterion(group("S4"), workers=2)
-        assert c1.solvable_witnesses == c2.solvable_witnesses
-        assert (c1.holds, c1.pairs_checked) == (c2.holds, c2.pairs_checked)
-
-    def test_early_exit_prefix_identical(self, group):
-        g = group("A5")
-        seq = verify_witness_pair(g, 2, 3, workers=1)
-        par = verify_witness_pair(g, 2, 3, workers=2)
-        assert seq.counterexample == par.counterexample
-        assert seq.outcome_orders == par.outcome_orders
+class TestScanCore:
+    def test_counterexample_is_first_solvable_pair(self, group):
+        # scan order: representatives of order a in class order, each
+        # against the elements of order b in enumeration order
+        for name, a, b in (("A5", 2, 3), ("psl2:7", 4, 3)):
+            g = group(name)
+            reps = [c.representative.images for c in conjugacy_classes(g)
+                    if c.order_of_elements == a]
+            ys = [p.images for p in elements_of_order(g, b)]
+            scan = ((x, y) for x in reps for y in ys)
+            for position, (x, y) in enumerate(scan, start=1):
+                sub = oracles.closure([x, y], g.degree)
+                if oracles.brute_is_solvable(sub, g.degree):
+                    break
+            else:
+                pytest.fail(f"{name}: no solvable ({a}, {b}) pair")
+            report = verify_witness_pair(g, a, b)
+            assert tuple(p.images for p in report.counterexample) == (x, y)
+            assert report.pairs_checked == position
+            assert sum(report.outcome_orders.values()) == position

@@ -6,11 +6,8 @@ from solvcrit.permutation import (
     CycleParseError,
     DegreeMismatchError,
     Permutation,
-    compose,
-    element_order,
     format_cycles,
     parse_cycles,
-    support,
 )
 
 perms = st.integers(min_value=1, max_value=9).flatmap(
@@ -73,24 +70,29 @@ class TestFormat:
     def test_round_trip(self, p):
         assert parse_cycles(format_cycles(p), p.degree) == p
 
+    def test_repr_is_a_parse_cycles_call(self):
+        p = parse_cycles("(1 2 3)(4 5)", 7)
+        assert repr(p) == "parse_cycles('(1 2 3)(4 5)', 7)"
+        assert eval(repr(p), {"parse_cycles": parse_cycles}) == p
+
 
 class TestAlgebra:
     def test_compose_convention_left_to_right(self):
         p = parse_cycles("(1 2)", 3)
         q = parse_cycles("(2 3)", 3)
-        r = compose(p, q)
+        r = p * q
         assert [r.apply(i) for i in (1, 2, 3)] == [3, 1, 2]
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            compose(Permutation.identity(3), Permutation.identity(4))
+            Permutation.identity(3) * Permutation.identity(4)
 
     @given(perms)
     def test_identity_laws(self, p):
         e = Permutation.identity(p.degree)
-        assert compose(p, e) == p
-        assert compose(e, p) == p
-        assert compose(p, p.inverse()) == e
+        assert p * e == p
+        assert e * p == p
+        assert p * p.inverse() == e
         assert p.inverse().inverse() == p
 
     @given(same_degree_pairs().flatmap(
@@ -98,7 +100,7 @@ class TestAlgebra:
             lambda r: (pq[0], pq[1], Permutation(r)))))
     def test_associative(self, triple):
         p, q, r = triple
-        assert compose(compose(p, q), r) == compose(p, compose(q, r))
+        assert (p * q) * r == p * (q * r)
 
     def test_pow(self):
         p = parse_cycles("(1 2 3 4 5)", 5)
@@ -109,9 +111,9 @@ class TestAlgebra:
 
 class TestOrderAndSupport:
     def test_order_examples(self):
-        assert element_order(Permutation.identity(4)) == 1
-        assert element_order(parse_cycles("(1 2 3)(4 5)", 5)) == 6
-        assert element_order(parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11)) == 11
+        assert Permutation.identity(4).order() == 1
+        assert parse_cycles("(1 2 3)(4 5)", 5).order() == 6
+        assert parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11).order() == 11
 
     @given(perms)
     def test_order_is_minimal_annihilator(self, p):
@@ -122,14 +124,14 @@ class TestOrderAndSupport:
                 assert not (p**k).is_identity()
 
     def test_support_examples(self):
-        assert support(Permutation.identity(5)) == frozenset()
-        assert support(parse_cycles("(1 2 3)(4 5)", 7)) == {1, 2, 3, 4, 5}
-        assert support(parse_cycles("(2 7)", 7)) == {2, 7}
+        assert Permutation.identity(5).support() == frozenset()
+        assert parse_cycles("(1 2 3)(4 5)", 7).support() == {1, 2, 3, 4, 5}
+        assert parse_cycles("(2 7)", 7).support() == {2, 7}
 
     @given(same_degree_pairs())
     def test_support_of_product_within_union(self, pq):
         p, q = pq
-        assert support(compose(p, q)) <= support(p) | support(q)
+        assert (p * q).support() <= p.support() | q.support()
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
