@@ -27,9 +27,7 @@ from .engine import (
     GroupHandle,
     StabilizerChain,
     build_group,
-    contains,
     enumerate_elements,
-    group_order,
     normal_closure,
 )
 from .numbertheory import (

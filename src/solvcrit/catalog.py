@@ -95,140 +95,80 @@ def make_frobenius20() -> GroupHandle:
     return _gate(build_group(gens, label="F20"), 20)
 
 
-class _GF:
-    """Arithmetic in GF(p^k), elements encoded as base-p digit integers.
+def _field_tables(q: int) -> tuple:
+    """Addition and multiplication tables of GF(q), q = p^k.
 
-    The modulus is the least monic irreducible polynomial of degree k over
-    GF(p) in the base-p encoding, found by exhaustive search, so the field
-    construction is deterministic.
+    Element a encodes the polynomial over GF(p) whose coefficients are a's
+    base-p digits, lowest first.  The modulus is the least monic irreducible
+    x^k + tail in that encoding: the first tail whose quotient ring has no
+    zero divisors, so the field construction is deterministic.
     """
+    pp = PrimePower.of(q)
+    p, k = pp.p, pp.k
+    digits = [[a // p ** i % p for i in range(k)] for a in range(q)]
 
-    def __init__(self, q: int):
-        pp = PrimePower.of(q)
-        self.p, self.k, self.q = pp.p, pp.k, pp.q
-        self.modulus = self._least_irreducible()
-        self.mul_table = [[self._polymul(a, b) for b in range(q)]
-                          for a in range(q)]
-        self.add_table = [[self._polyadd(a, b) for b in range(q)]
-                          for a in range(q)]
-        self.neg = [self._polyneg(a) for a in range(q)]
-        self.inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self.mul_table[a][b] == 1:
-                    self.inv[a] = b
-                    break
-        self.primitive = self._find_primitive()
+    def encode(coeffs) -> int:
+        return sum(c % p * p ** i for i, c in enumerate(coeffs))
 
-    def _digits(self, a: int, length: int) -> list:
-        out = []
-        for _ in range(length):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+    def product(a: int, b: int, tail: list) -> int:
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits[a]):
+            for j, y in enumerate(digits[b]):
+                prod[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -tail
+            for j in range(k):
+                prod[top - k + j] -= prod[top] * tail[j]
+        return encode(prod[:k])
 
-    def _polyadd(self, a: int, b: int) -> int:
-        da, db = self._digits(a, self.k), self._digits(b, self.k)
-        return sum(((x + y) % self.p) * self.p ** i
-                   for i, (x, y) in enumerate(zip(da, db)))
-
-    def _polyneg(self, a: int) -> int:
-        return sum(((-x) % self.p) * self.p ** i
-                   for i, x in enumerate(self._digits(a, self.k)))
-
-    def _polymul(self, a: int, b: int) -> int:
-        # schoolbook product then reduction by the modulus polynomial
-        da = self._digits(a, self.k)
-        db = self._digits(b, self.k)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if not x:
-                continue
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        mod = self._digits(self.modulus, self.k + 1)
-        for top in range(len(prod) - 1, self.k - 1, -1):
-            coeff = prod[top]
-            if not coeff:
-                continue
-            prod[top] = 0
-            for j in range(self.k):
-                prod[top - self.k + j] = (
-                    prod[top - self.k + j] - coeff * mod[j]) % self.p
-        return sum(c * self.p ** i for i, c in enumerate(prod[:self.k]))
-
-    def _least_irreducible(self) -> int:
-        if self.k == 1:
-            return self.p  # the polynomial x (unused for prime fields)
-        for tail in range(self.p ** self.k):
-            candidate = self.p ** self.k + tail  # monic: x^k + lower terms
-            if self._irreducible(candidate):
-                return candidate
-        raise AssertionError("no irreducible polynomial found")
-
-    def _poly_divmod_coeffs(self, num: list, den: list) -> list:
-        num = list(num)
-        dl = len(den) - 1
-        while len(num) - 1 >= dl and any(num):
-            while num and num[-1] == 0:
-                num.pop()
-            if len(num) - 1 < dl:
-                break
-            lead = num[-1] * pow(den[-1], self.p - 2, self.p) % self.p
-            shift = len(num) - 1 - dl
-            for i, c in enumerate(den):
-                num[shift + i] = (num[shift + i] - lead * c) % self.p
-        return num
-
-    def _irreducible(self, poly: int) -> bool:
-        coeffs = self._digits(poly, self.k + 1)
-        for deg in range(1, self.k // 2 + 1):
-            for tail in range(self.p ** deg):
-                den = self._digits(self.p ** deg + tail, deg + 1)
-                rem = self._poly_divmod_coeffs(coeffs, den)
-                if not any(rem):
-                    return False
-        return True
-
-    def _find_primitive(self) -> int:
-        for a in range(2, self.q):
-            seen = 1
-            x = a
-            while x != 1:
-                x = self.mul_table[x][a]
-                seen += 1
-            if seen == self.q - 1:
-                return a
-        raise AssertionError("no primitive element found")
+    add = [[encode(x + y for x, y in zip(da, db)) for db in digits]
+           for da in digits]
+    for tail in digits:
+        mul = []
+        for a in range(q):
+            row = [product(a, b, tail) for b in range(q)]
+            if a and 0 in row[1:]:
+                break  # a zero divisor: x^k + tail is reducible
+            mul.append(row)
+        else:
+            return add, mul
+    raise AssertionError("no irreducible polynomial found")
 
 
 def make_psl2(q: int) -> GroupHandle:
     """PSL(2, q) acting on the q + 1 points of the projective line.
 
     Point i (1-based) is the field element i - 1 for i <= q; point q + 1 is
-    infinity.  Generators: translation x -> x + 1, scaling x -> v^2 x for a
-    primitive element v (the square keeps it inside PSL for odd q), and the
-    inversion x -> -1/x.  Order is verified against q(q^2 - 1)/gcd(2, q-1).
+    infinity.  Generators: translation x -> x + 1, scaling x -> v^2 x for the
+    least primitive element v (the square keeps it inside PSL for odd q),
+    and the inversion x -> -1/x.  Order is verified against
+    q(q^2 - 1)/gcd(2, q-1).
     """
     if not 4 <= q <= 32:
         raise ValueError("need a prime power q with 4 <= q <= 32")
-    field = _GF(q)
+    add, mul = _field_tables(q)
     infinity = q  # 0-based index of the projective point at infinity
 
-    def translation(x: int) -> int:
-        return infinity if x == infinity else field.add_table[x][1]
+    def multiplicative_order(a: int) -> int:
+        x, n = a, 1
+        while x != 1:
+            x, n = mul[x][a], n + 1
+        return n
 
-    nu2 = field.mul_table[field.primitive][field.primitive]
+    nu = next(a for a in range(2, q) if multiplicative_order(a) == q - 1)
+    nu2 = mul[nu][nu]
+
+    def translation(x: int) -> int:
+        return infinity if x == infinity else add[x][1]
 
     def scaling(x: int) -> int:
-        return infinity if x == infinity else field.mul_table[nu2][x]
+        return infinity if x == infinity else mul[nu2][x]
 
     def inversion(x: int) -> int:
         if x == infinity:
             return 0
         if x == 0:
             return infinity
-        return field.neg[field.inv[x]]
+        return add[mul[x].index(1)].index(0)
 
     gens = [Permutation(tuple(f(x) for x in range(q + 1)))
             for f in (translation, scaling, inversion)]

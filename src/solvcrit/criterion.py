@@ -30,7 +30,6 @@ from .structure import (
     conjugacy_classes,
     elements_of_order,
     is_solvable,
-    order_spectrum,
 )
 
 
@@ -230,11 +229,11 @@ def search_witness_pairs(group: GroupHandle,
     returned in lexicographic order.  With ``restrict_to_primes``, only
     pairs of distinct primes are tried.
     """
-    spectrum = order_spectrum(group)
     classes = conjugacy_classes(group)
+    orders = sorted({c.order_of_elements for c in classes})
     candidates = []
-    for i, a in enumerate(spectrum.orders):
-        for b in spectrum.orders[i:]:
+    for i, a in enumerate(orders):
+        for b in orders[i:]:
             if restrict_to_primes and (a == b or not is_prime(a)
                                        or not is_prime(b)):
                 continue

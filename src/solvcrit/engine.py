@@ -6,8 +6,9 @@ are processed deepest-level-first in a fixed order, and transversals are
 append-only.  Two builds from the same generator list therefore produce
 identical chains and identical element enumeration order.
 
-Hot paths work on raw 0-based image tuples; :class:`Permutation` objects
-appear only at the public surface.
+Hot paths work on raw 0-based image tuples through the kernel in
+:mod:`.permutation`; :class:`Permutation` objects appear only at the public
+surface.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .permutation import DegreeMismatchError, Permutation
+from .permutation import DegreeMismatchError, Permutation, _inv, _mult
 
 DEFAULT_ENUM_CAP = 2_000_000
 ENUM_CAP_ENV = "SOLVCRIT_ENUM_CAP"
@@ -43,45 +44,14 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _mult(p: tuple, q: tuple) -> tuple:
-    # apply p, then q
-    return tuple(map(q.__getitem__, p))
-
-
-def _inv(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
-def _tuple_order(p: tuple) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i] or p[i] == i:
-            continue
-        length = 1
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            seen[j] = True
-            length += 1
-            j = p[j]
-        order = math.lcm(order, length)
-    return order
-
-
 class _Level:
     """One level of the chain: a base point with transversal and generators."""
 
-    __slots__ = ("point", "gens", "inv_gens", "transversal", "orbit", "pending")
+    __slots__ = ("point", "gens", "transversal", "orbit", "pending")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list[tuple] = []
-        self.inv_gens: list[tuple] = []
         self.transversal: dict[int, tuple] = {point: identity}
         self.orbit: list[int] = [point]
         # Schreier-generator work queue of (orbit point, generator index)
@@ -90,7 +60,6 @@ class _Level:
     def add_generator(self, gen: tuple) -> None:
         idx = len(self.gens)
         self.gens.append(gen)
-        self.inv_gens.append(_inv(gen))
         for x in self.orbit:
             self.pending.append((x, idx))
         self._extend_orbit()
@@ -218,12 +187,6 @@ class StabilizerChain:
         """Base points, 1-based, in chain order."""
         return tuple(lv.point + 1 for lv in self._levels)
 
-    def strong_generators(self) -> list[tuple]:
-        out = []
-        for lv in self._levels:
-            out.extend(lv.gens)
-        return out
-
     def transversal_sizes(self) -> tuple:
         return tuple(len(lv.transversal) for lv in self._levels)
 
@@ -255,7 +218,11 @@ class GroupHandle:
     generators: tuple
     chain: StabilizerChain
     label: str | None = None
-    _gen_tuples: tuple = field(repr=False, default=())
+    _gen_tuples: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_gen_tuples",
+                           tuple(g.images for g in self.generators))
 
     @property
     def degree(self) -> int:
@@ -265,7 +232,7 @@ class GroupHandle:
         return self.chain.order()
 
     def __contains__(self, p: Permutation) -> bool:
-        return contains(self, p)
+        return self.chain.contains_tuple(p.images)
 
     def __repr__(self) -> str:
         name = self.label or "group"
@@ -287,17 +254,8 @@ def build_group(generators: Sequence[Permutation],
         if g.degree != degree:
             raise DegreeMismatchError(
                 f"degree mismatch: {g.degree} vs {degree}")
-    gen_tuples = tuple(g.images for g in gens)
-    chain = StabilizerChain.build(gen_tuples, degree)
-    return GroupHandle(gens, chain, label, gen_tuples)
-
-
-def group_order(group: GroupHandle) -> int:
-    return group.chain.order()
-
-
-def contains(group: GroupHandle, p: Permutation) -> bool:
-    return group.chain.contains_tuple(p.images)
+    chain = StabilizerChain.build([g.images for g in gens], degree)
+    return GroupHandle(gens, chain, label)
 
 
 def _element_tuples(group: GroupHandle) -> Iterator[tuple]:
@@ -330,12 +288,11 @@ def normal_closure(group: GroupHandle,
     them all; the result is then verified closed under conjugation.
     """
     for s in seeds:
-        if not contains(group, s):
+        if s not in group:
             raise NotASubsetError(f"seed element {s} is not in the group")
     seed_tuples = [s.images for s in seeds]
-    closure_gens = _normal_closure_tuples(
-        group._gen_tuples or tuple(g.images for g in group.generators),
-        seed_tuples, group.degree)
+    closure_gens = _normal_closure_tuples(group._gen_tuples, seed_tuples,
+                                          group.degree)
     if not closure_gens:
         identity = Permutation.identity(group.degree)
         return build_group([identity], label)

@@ -38,8 +38,11 @@ def _check_range(n: int, what: str = "value") -> None:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the fixed witness set 2..97.
 
-    The 12-witness prefix is proven correct below 3.3e24; the full set has
-    no known failures anywhere near the 2^96 working range.
+    The 13-witness prefix 2..41 is proven correct below 3.3e24 (Sorenson
+    and Webster, Math. Comp. 2017); the 12 witnesses 2..37 are not, since
+    psi_12 = 318665857834031151167461 (about 3.2e23) is a strong pseudoprime
+    to all of them.  The full set has no known failures anywhere near the
+    2^96 working range.
     """
     if n < 2:
         return False

@@ -20,6 +20,36 @@ class DegreeMismatchError(ValueError):
     """Operands act on different numbers of points."""
 
 
+def _mult(p: tuple, q: tuple) -> tuple:
+    # apply p, then q
+    return tuple(map(q.__getitem__, p))
+
+
+def _inv(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _tuple_order(p: tuple) -> int:
+    n = len(p)
+    seen = [False] * n
+    order = 1
+    for i in range(n):
+        if seen[i] or p[i] == i:
+            continue
+        length = 1
+        seen[i] = True
+        j = p[i]
+        while j != i:
+            seen[j] = True
+            length += 1
+            j = p[j]
+        order = math.lcm(order, length)
+    return order
+
+
 def _check_degrees(p: "Permutation", q: "Permutation") -> None:
     if p.degree != q.degree:
         raise DegreeMismatchError(
@@ -75,15 +105,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Apply self, then other."""
         _check_degrees(self, other)
-        q = other._images
-        return Permutation._wrap(tuple(map(q.__getitem__, self._images)))
+        return Permutation._wrap(_mult(self._images, other._images))
 
     def inverse(self) -> "Permutation":
-        img = self._images
-        inv = [0] * len(img)
-        for i, j in enumerate(img):
-            inv[j] = i
-        return Permutation._wrap(tuple(inv))
+        return Permutation._wrap(_inv(self._images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -92,8 +117,8 @@ class Permutation:
         base = self._images
         while k:
             if k & 1:
-                result = tuple(map(base.__getitem__, result))
-            base = tuple(map(base.__getitem__, base))
+                result = _mult(result, base)
+            base = _mult(base, base)
             k >>= 1
         return Permutation._wrap(result)
 
@@ -102,7 +127,7 @@ class Permutation:
 
     def order(self) -> int:
         """Least k >= 1 with p**k = identity; the lcm of the cycle lengths."""
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return _tuple_order(self._images)
 
     def support(self) -> frozenset:
         """The 1-based points moved by this permutation."""

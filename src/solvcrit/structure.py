@@ -9,13 +9,10 @@ from .engine import (
     GroupHandle,
     StabilizerChain,
     _element_tuples,
-    _inv,
-    _mult,
     _normal_closure_tuples,
-    _tuple_order,
     build_group,
 )
-from .permutation import Permutation
+from .permutation import Permutation, _inv, _mult, _tuple_order
 
 
 @dataclass(frozen=True)
@@ -60,17 +57,15 @@ class OrderSpectrum:
         return m in self.orders
 
 
-def _commutator_tuples(gens: Sequence[tuple]) -> list[tuple]:
+def _commutator_tuples(gens: Sequence[tuple], degree: int) -> list[tuple]:
+    """Distinct nontrivial commutators a^-1 b^-1 a b, in (a, b) order."""
+    pairs = [(_inv(g), g) for g in gens]
+    seen = {tuple(range(degree))}
     out = []
-    seen = set()
-    identity = None
-    for a in gens:
-        if identity is None:
-            identity = tuple(range(len(a)))
-        a_inv = _inv(a)
-        for b in gens:
-            c = _mult(_mult(_mult(a_inv, _inv(b)), a), b)
-            if c != identity and c not in seen:
+    for a_inv, a in pairs:
+        for b_inv, b in pairs:
+            c = _mult(_mult(_mult(a_inv, b_inv), a), b)
+            if c not in seen:
                 seen.add(c)
                 out.append(c)
     return out
@@ -83,7 +78,7 @@ def _derived_gens(gen_tuples: Sequence[tuple], degree: int) -> list[tuple]:
     generating set.
     """
     return _normal_closure_tuples(
-        gen_tuples, _commutator_tuples(gen_tuples), degree)
+        gen_tuples, _commutator_tuples(gen_tuples, degree), degree)
 
 
 def derived_subgroup(group: GroupHandle) -> GroupHandle:
@@ -168,6 +163,5 @@ def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order."""
     if m < 1:
         raise ValueError("order must be positive")
-    for t in _element_tuples(group):
-        if _tuple_order(t) == m:
-            yield Permutation._wrap(t)
+    return (Permutation._wrap(t) for t in _element_tuples(group)
+            if _tuple_order(t) == m)

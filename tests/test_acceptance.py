@@ -25,7 +25,7 @@ from solvcrit.criterion import (
     search_witness_pairs,
     verify_witness_pair,
 )
-from solvcrit.engine import enumerate_elements, group_order
+from solvcrit.engine import enumerate_elements
 from solvcrit.numbertheory import (
     LBPD_EMPTY_PAIRS,
     bppd,
@@ -90,7 +90,7 @@ def test_criterion_2_psl2_pairs(group):
         k = math.gcd(q - 1, 2)
         a, b = (q + 1) // k, (q - 1) // k
         report = verify_witness_pair(g, a, b)
-        expected = {group_order(g)}
+        expected = {g.order()}
         if not (report.verified and report.orders() == expected):
             failures.append(
                 f"psl2:{q} ({a},{b}): verified={report.verified}, "
@@ -205,7 +205,7 @@ def test_criterion_7_engine_oracles(group):
     failures = []
     for name in ENGINE_CORPUS:
         g = group(name)
-        order = group_order(g)
+        order = g.order()
         if order > 10**4:
             continue
         brute = oracles.closure_order([p.images for p in g.generators],

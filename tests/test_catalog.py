@@ -1,11 +1,22 @@
 import math
 
 import pytest
+import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (
+    gf_add,
+    gf_irreducible_p,
+    gf_mul,
+    gf_neg,
+    gf_rem,
+    gf_strip,
+)
 
 from solvcrit.catalog import (
     GroupFileError,
     OrderGateError,
     UnknownGroupError,
+    _field_tables,
     catalog_group,
     load_group,
     make_alternating,
@@ -85,6 +96,32 @@ class TestPsl2:
         for bad in (3, 6, 33, 64):
             with pytest.raises(ValueError):
                 make_psl2(bad)
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("q", [q for q in range(4, 33)
+                                   if len(sympy.factorint(q)) == 1])
+    def test_tables_match_sympy(self, q):
+        (p, k), = sympy.factorint(q).items()
+
+        def poly(a):  # base-p digits, highest first
+            return gf_strip([a // p ** i % p for i in reversed(range(k))])
+
+        def value(f):
+            return sum(c % p * p ** i for i, c in enumerate(reversed(f)))
+
+        # the least monic irreducible x^k + tail, tails in encoding order
+        monics = ([1] + [tail // p ** i % p for i in reversed(range(k))]
+                  for tail in range(q))
+        modulus = next(f for f in monics if gf_irreducible_p(f, p, ZZ))
+        add, mul = _field_tables(q)
+        if k > 1:  # x * x^(k-1) reduces to minus the modulus tail
+            assert mul[p][p ** (k - 1)] == value(gf_neg(modulus[1:], p, ZZ))
+        for a in range(q):
+            for b in range(q):
+                assert add[a][b] == value(gf_add(poly(a), poly(b), p, ZZ))
+                product = gf_mul(poly(a), poly(b), p, ZZ)
+                assert mul[a][b] == value(gf_rem(product, modulus, p, ZZ))
 
 
 class TestGroupFiles:

@@ -37,6 +37,11 @@ class TestPrimality:
         assert not is_prime(2**67 - 1)  # famous composite
         assert is_prime(2**31 - 1)
 
+    def test_strong_pseudoprimes_rejected(self):
+        # psi_12 fools every base 2..37, psi_13 every base 2..41
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(3317044064679887385961981)
+
     def test_mersenne_recognition(self):
         assert [n for n in range(2, 200) if is_mersenne_prime(n)] == [3, 7, 31, 127]
 

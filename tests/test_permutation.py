@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from solvcrit.permutation import (
     CycleParseError,
     DegreeMismatchError,
@@ -101,6 +102,15 @@ class TestAlgebra:
     def test_associative(self, triple):
         p, q, r = triple
         assert (p * q) * r == p * (q * r)
+
+    @given(same_degree_pairs(max_degree=12))
+    def test_kernel_matches_oracles(self, pq):
+        p, q = pq
+        assert (p * q).images == oracles.mult(p.images, q.images)
+        assert p.inverse().images == oracles.inv(p.images)
+        square = oracles.mult(p.images, p.images)
+        assert (p ** -2).images == oracles.inv(square)
+        assert p.order() == oracles.tuple_order(p.images)
 
     def test_pow(self):
         p = parse_cycles("(1 2 3 4 5)", 5)

@@ -5,10 +5,10 @@ import pytest
 import oracles
 from solvcrit.engine import (
     EnumerationCapExceeded,
+    GroupHandle,
     build_group,
-    contains,
     enumerate_elements,
-    group_order,
+    normal_closure,
 )
 from solvcrit.permutation import Permutation, parse_cycles
 from solvcrit.structure import (
@@ -26,13 +26,13 @@ def perm(text, degree):
 
 class TestDerivedSubgroup:
     def test_s4(self, group):
-        assert group_order(derived_subgroup(group("S4"))) == 12
+        assert derived_subgroup(group("S4")).order() == 12
 
     def test_abelian_gives_trivial(self, group):
-        assert group_order(derived_subgroup(group("C6"))) == 1
+        assert derived_subgroup(group("C6")).order() == 1
 
     def test_perfect_group(self, group):
-        assert group_order(derived_subgroup(group("A5"))) == 60
+        assert derived_subgroup(group("A5")).order() == 60
 
     def test_matches_full_commutator_brute_force(self, group):
         for name in ("S4", "D10", "F20", "A5"):
@@ -43,14 +43,14 @@ class TestDerivedSubgroup:
                     oracles.inv(a), oracles.inv(b)), a), b)
                 for a in elements for b in elements}
             expected = len(oracles.closure(commutators, g.degree))
-            assert group_order(derived_subgroup(g)) == expected
+            assert derived_subgroup(g).order() == expected
 
     def test_derived_subgroup_is_normal(self, group):
         g = group("S5")
         d = derived_subgroup(g)
         for h in d.generators:
             for gen in g.generators:
-                assert contains(d, gen.inverse() * h * gen)
+                assert gen.inverse() * h * gen in d
 
 
 class TestSolvability:
@@ -63,6 +63,13 @@ class TestSolvability:
         result = is_solvable(group("A5"))
         assert not result.solvable
         assert result.series_orders[-1] == 60
+
+    def test_directly_built_handle_matches_built_group(self, group):
+        g = group("A5")
+        h = GroupHandle(g.generators, g.chain, g.label)
+        assert is_solvable(h) == is_solvable(g)
+        assert len(conjugacy_classes(h)) == 5
+        assert normal_closure(h, [parse_cycles("(1 2 3)", 5)]).order() == 60
 
     def test_burnside_two_prime_corpus(self, group):
         # order p^a q^b forces solvability; sanity oracle, not implementation
@@ -98,8 +105,8 @@ class TestConjugacyClasses:
         for name in ("S4", "A5", "F20", "psl2:7"):
             g = group(name)
             classes = conjugacy_classes(g)
-            assert sum(c.size for c in classes) == group_order(g)
-            assert all(group_order(g) % c.size == 0 for c in classes)
+            assert sum(c.size for c in classes) == g.order()
+            assert all(g.order() % c.size == 0 for c in classes)
 
     def test_matches_brute_force_partition(self, group):
         for name in ("S3", "S4", "A5", "D10"):
@@ -191,3 +198,13 @@ class TestElementsOfOrder:
         monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
         with pytest.raises(EnumerationCapExceeded):
             list(elements_of_order(group("A5"), 5))
+
+    # the call itself raises, before anything is iterated
+    def test_nonpositive_order_rejected_at_call(self, group):
+        with pytest.raises(ValueError):
+            elements_of_order(group("A5"), 0)
+
+    def test_cap_applies_at_call(self, group, monkeypatch):
+        monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
+        with pytest.raises(EnumerationCapExceeded):
+            elements_of_order(group("A5"), 5)
