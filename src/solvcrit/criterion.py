@@ -9,23 +9,29 @@ Two predicates drive everything here:
   a nonsolvable subgroup?  Such (a, b) exist in every nonabelian simple group.
 
 Both reduce the pair scan by conjugation equivariance: <x, y> and
-<x^g, y^g> are conjugate, hence share order and solvability, so one side of
-the scan may be fixed to class representatives.  Scans are deterministic
-(enumeration order, first hit wins), and both run through one core,
-``_PairJudge.first_solvable``.
+<x^g, y^g> are conjugate, hence share order and solvability.  So one side
+of the scan is fixed to class representatives, and with x fixed, the
+verdict is constant on the orbits of y under conjugation by the centralizer
+C_G(x), since <x, y^c> = <x, y>^c for c in C_G(x).  Both scans run through
+one core, ``_PairJudge.first_solvable``, which judges one y per C_G(x)-orbit
+and tallies every scanned y with its orbit's verdict, so the reports are
+exactly those of a scan that judges every y.  Scans are deterministic
+(enumeration order, first hit wins).  The exhaustive recheck of a criterion
+counterexample judges every pair and relies on no equivariance.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .engine import GroupHandle, StabilizerChain
+from .engine import GroupHandle, StabilizerChain, _element_tuples
 from .numbertheory import is_prime
-from .permutation import Permutation
+from .permutation import Permutation, _inv, _mult, _tuple_order
 from .structure import (
     ConjugacyClass,
+    _centralizer_tuples,
     _solvability_tuples,
     conjugacy_classes,
     elements_of_order,
@@ -98,16 +104,20 @@ class _PairJudge:
     The cache key is the sorted generator pair, so (x, y) and (y, x) share
     one verdict; caching cannot change any verdict.  A subgroup whose order
     equals the parent's order *is* the parent, so the parent's solvability
-    is reused without rerunning the derived series.
+    is reused without rerunning the derived series.  Centralizer generators
+    are computed the first time a scan needs them for an x, and kept.
     """
 
-    __slots__ = ("degree", "parent_order", "parent_solvable", "cache")
+    __slots__ = ("degree", "gens", "parent_order", "parent_solvable",
+                 "cache", "centralizers")
 
     def __init__(self, group: GroupHandle):
         self.degree = group.degree
+        self.gens = group._gen_tuples
         self.parent_order = group.order()
         self.parent_solvable = is_solvable(group).solvable
         self.cache: dict = {}
+        self.centralizers: dict = {}
 
     def verdict(self, x: tuple, y: tuple) -> tuple:
         key = (x, y) if x <= y else (y, x)
@@ -123,45 +133,77 @@ class _PairJudge:
         self.cache[key] = result
         return result
 
-    def first_solvable(self, x: tuple, ys: Iterable[tuple],
-                       outcomes: Counter) -> tuple | None:
+    def first_solvable(self, x: tuple, ys: Sequence[tuple],
+                       outcomes: Counter, orbits: bool = True) -> tuple | None:
         """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
-        Every verdict on the way, the solvable one included, is tallied in
-        ``outcomes``.
+        Every y on the way, the solvable one included, is tallied in
+        ``outcomes`` with its verdict, so the tally is that of judging each
+        y in turn.  With ``orbits``, ``ys`` must be closed under conjugation
+        by C_G(x): a nonsolvable verdict is given to the whole C_G(x)-orbit
+        of y, and later members of that orbit are tallied without being
+        judged again.  Without it, every y is judged.
         """
-        for y in ys:
-            verdict = self.verdict(x, y)
+        known = None  # per position in ys: its orbit's verdict, once judged
+        for k, y in enumerate(ys):
+            verdict = None if known is None else known[k]
+            if verdict is None:
+                verdict = self.verdict(x, y)
+                if orbits and not verdict[1]:
+                    if known is None:
+                        known = [None] * len(ys)
+                        position = {t: i for i, t in enumerate(ys)}
+                    self._mark_orbit(x, k, verdict, ys, position, known)
             outcomes[verdict] += 1
             if verdict[1]:
                 return y
         return None
+
+    def _mark_orbit(self, x: tuple, k: int, verdict: tuple,
+                    ys: Sequence[tuple], position: dict, known: list) -> None:
+        # <x, y^c> = <x, y>^c for c in C_G(x): one verdict per orbit
+        conjugators = self.centralizers.get(x)
+        if conjugators is None:
+            conjugators = [(_inv(c), c) for c in _centralizer_tuples(
+                self.gens, x, self.parent_order)]
+            self.centralizers[x] = conjugators
+        known[k] = verdict
+        stack = [k]
+        while stack:
+            z = ys[stack.pop()]
+            for c_inv, c in conjugators:
+                i = position[_mult(_mult(c_inv, z), c)]
+                if known[i] is None:
+                    known[i] = verdict
+                    stack.append(i)
 
 
 def check_criterion(group: GroupHandle) -> CriterionReport:
     """Check every ordered pair of conjugacy classes for a solvable witness.
 
     For each ordered pair (C, D) the scan fixes x at C's representative and
-    ranges y over D in enumeration order (sound by conjugation equivariance).
-    The first failing pair is rechecked exhaustively over all of C x D and
-    reported as the counterexample.
+    ranges y over D in enumeration order (sound by conjugation equivariance),
+    judging one y per C_G(x)-orbit; ``subgroups_examined`` counts every y
+    scanned, as if each had been judged.  The first failing pair is
+    rechecked exhaustively over all of C x D, every pair judged with no
+    orbit reduction, and reported as the counterexample.
     """
     classes = conjugacy_classes(group)
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
                  for i, c in enumerate(classes))
+    members = [[m.images for m in c.members] for c in classes]
     judge = _PairJudge(group)
     witnesses: dict = {}
     tally: Counter = Counter()
 
     for i, class_c in enumerate(classes):
         x = class_c.representative
-        for j, class_d in enumerate(classes):
-            y = judge.first_solvable(
-                x.images, (m.images for m in class_d.members), tally)
+        for j, ys in enumerate(members):
+            y = judge.first_solvable(x.images, ys, tally)
             if y is not None:
                 witnesses[(i, j)] = (x, Permutation._wrap(y))
                 continue
-            _recheck_counterexample(judge, class_c, class_d)
+            _recheck_counterexample(judge, members[i], ys)
             return CriterionReport(
                 holds=False, classes=refs, pairs_checked=len(witnesses) + 1,
                 solvable_witnesses=witnesses,
@@ -175,14 +217,15 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
                            subgroups_examined=sum(tally.values()))
 
 
-def _recheck_counterexample(judge: _PairJudge, class_c: ConjugacyClass,
-                            class_d: ConjugacyClass) -> None:
+def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
+                            ys: Sequence[tuple]) -> None:
     # Exhaustive confirmation over the full rectangle; the reduced scan's
-    # soundness rests on conjugation equivariance, this rests on nothing.
-    ys = [m.images for m in class_d.members]
+    # soundness rests on conjugation equivariance, this rests on nothing,
+    # so it judges every pair without the orbit reduction.
     unused_tally: Counter = Counter()
-    for xm in class_c.members:
-        if judge.first_solvable(xm.images, ys, unused_tally) is not None:
+    for x in xs:
+        if judge.first_solvable(x, ys, unused_tally,
+                                orbits=False) is not None:
             raise AssertionError(
                 "reduced scan missed a solvable pair; conjugation "
                 "equivariance violated (engine bug)")
@@ -193,28 +236,36 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int,
                         ) -> WitnessReport:
     """Check that every (x, y) with |x| = a, |y| = b generates nonsolvably.
 
-    The scan pairs each conjugacy-class representative of order ``a`` with
-    every element of order ``b`` in enumeration order (sound by conjugation
-    equivariance) and stops at the first solvable subgroup found.
+    The scan pairs each conjugacy-class representative x of order ``a`` with
+    the elements of order ``b`` in enumeration order (sound by conjugation
+    equivariance), judges one y per C_G(x)-orbit and stops at the first
+    solvable subgroup found.  ``outcome_orders`` and ``pairs_checked`` count
+    every y scanned with its orbit's verdict, so they equal those of a scan
+    that judges each pair.
     """
     if classes is None:
         classes = conjugacy_classes(group)
-    reps_a = [c.representative for c in classes if c.order_of_elements == a]
-    if not reps_a:
+    if not any(c.order_of_elements == a for c in classes):
         raise OrderNotInSpectrumError(f"no element of order {a} in the group")
     if not any(c.order_of_elements == b for c in classes):
         raise OrderNotInSpectrumError(f"no element of order {b} in the group")
     ys = [p.images for p in elements_of_order(group, b)]
+    return _witness_report(_PairJudge(group), classes, a, b, ys)
 
-    judge = _PairJudge(group)
+
+def _witness_report(judge: _PairJudge, classes: Sequence[ConjugacyClass],
+                    a: int, b: int, ys: Sequence[tuple]) -> WitnessReport:
+    # the scan behind verify_witness_pair and each search candidate; ys are
+    # the elements of order b in enumeration order
     outcomes: Counter = Counter()
     counterexample = None
-    for rep in reps_a:
-        y = judge.first_solvable(rep.images, ys, outcomes)
+    for c in classes:
+        if c.order_of_elements != a:
+            continue
+        y = judge.first_solvable(c.representative.images, ys, outcomes)
         if y is not None:
-            counterexample = (rep, Permutation._wrap(y))
+            counterexample = (c.representative, Permutation._wrap(y))
             break
-
     return WitnessReport(a=a, b=b, verified=counterexample is None,
                          outcome_orders=dict(outcomes),
                          counterexample=counterexample,
@@ -227,7 +278,9 @@ def search_witness_pairs(group: GroupHandle,
 
     Pairs are drawn from the group's order spectrum (a = b permitted) and
     returned in lexicographic order.  With ``restrict_to_primes``, only
-    pairs of distinct primes are tried.
+    pairs of distinct primes are tried.  Every candidate is scanned as in
+    ``verify_witness_pair``, from one enumeration of the group and one
+    shared set of verdicts and centralizers.
     """
     classes = conjugacy_classes(group)
     orders = sorted({c.order_of_elements for c in classes})
@@ -238,9 +291,11 @@ def search_witness_pairs(group: GroupHandle,
                                        or not is_prime(b)):
                 continue
             candidates.append((a, b))
-    found = []
-    for a, b in candidates:
-        report = verify_witness_pair(group, a, b, classes=classes)
-        if report.verified:
-            found.append((a, b))
-    return found
+    ys_by_order: dict = {b: [] for _a, b in candidates}
+    for t in _element_tuples(group):
+        bucket = ys_by_order.get(_tuple_order(t))
+        if bucket is not None:
+            bucket.append(t)
+    judge = _PairJudge(group)
+    return [(a, b) for a, b in candidates
+            if _witness_report(judge, classes, a, b, ys_by_order[b]).verified]

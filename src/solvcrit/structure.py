@@ -71,6 +71,48 @@ def _commutator_tuples(gens: Sequence[tuple], degree: int) -> list[tuple]:
     return out
 
 
+def _centralizer_tuples(gen_tuples: Sequence[tuple], x: tuple,
+                        group_order: int) -> list[tuple]:
+    """Generators of the centralizer C_G(x), as image tuples.
+
+    A breadth-first search of x's class under G's generators records, for
+    each member c, a conjugator t_c with x^(t_c) = c.  By Schreier's lemma
+    the elements t_c g t_(c^g)^-1 generate C_G(x); each one that enlarges
+    the chain built so far is kept, until the chain's order reaches
+    |G| / |class|.
+    """
+    conjugators = [(_inv(g), g) for g in gen_tuples]
+    transversal = {x: tuple(range(len(x)))}
+    frontier = [x]
+    while frontier:
+        new_frontier = []
+        for c in frontier:
+            t = transversal[c]
+            for g_inv, g in conjugators:
+                d = _mult(_mult(g_inv, c), g)
+                if d not in transversal:
+                    transversal[d] = _mult(t, g)
+                    new_frontier.append(d)
+        frontier = new_frontier
+
+    target = group_order // len(transversal)
+    chain = StabilizerChain(len(x))
+    gens: list[tuple] = []
+    for c, t in transversal.items():
+        for g_inv, g in conjugators:
+            if chain.order() == target:
+                return gens
+            back = transversal[_mult(_mult(g_inv, c), g)]
+            schreier = _mult(_mult(t, g), _inv(back))
+            if not chain.contains_tuple(schreier):
+                chain.extend([schreier])
+                gens.append(schreier)
+    if chain.order() != target:
+        raise AssertionError(
+            "centralizer order differs from |G| / |class| (builder bug)")
+    return gens
+
+
 def _derived_gens(gen_tuples: Sequence[tuple], degree: int) -> list[tuple]:
     """Generators of the derived subgroup, as image tuples.
 

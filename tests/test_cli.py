@@ -178,6 +178,18 @@ class TestDeterminismAcrossProcesses:
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
 
+    def test_m12_witness_output_identical(self):
+        one, two = self._capture_twice(
+            "witness", "verify", "2", "11", "--group", "M12")
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout
+
+    def test_prime_search_output_identical(self):
+        one, two = self._capture_twice(
+            "witness", "search", "--group", "M11", "--primes")
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout
+
 
 class TestEnumCapEnv:
     def test_cap_env_respected(self):

@@ -3,9 +3,11 @@ import random
 import pytest
 
 import oracles
+from solvcrit import criterion
 from solvcrit.criterion import (
     OrderNotInSpectrumError,
     _PairJudge,
+    _witness_report,
     check_criterion,
     search_witness_pairs,
     verify_witness_pair,
@@ -231,3 +233,77 @@ class TestScanCore:
             assert tuple(p.images for p in report.counterexample) == (x, y)
             assert report.pairs_checked == position
             assert sum(report.outcome_orders.values()) == position
+
+
+class _UnreducedJudge(_PairJudge):
+    """The same scan core with the orbit reduction off: every y is judged."""
+
+    def first_solvable(self, x, ys, outcomes, orbits=True):
+        return super().first_solvable(x, ys, outcomes, orbits=False)
+
+
+def _witness_fields(report):
+    # the outcome list in tally order, as the CLI prints it
+    return (report.verified, report.counterexample, report.pairs_checked,
+            list(report.outcome_orders.items()))
+
+
+class TestOrbitReduction:
+    @pytest.fixture
+    def unreduced(self, monkeypatch):
+        def call(fn, *args, **kwargs):
+            with monkeypatch.context() as m:
+                m.setattr(criterion, "_PairJudge", _UnreducedJudge)
+                return fn(*args, **kwargs)
+        return call
+
+    def test_witness_reports_match_full_scan(self, group, unreduced):
+        for name in ("A5", "A6", "A7", "psl2:7", "psl2:8", "psl2:9",
+                     "psl2:11", "psl2:13"):
+            g = group(name)
+            classes = conjugacy_classes(g)
+            orders = sorted({c.order_of_elements for c in classes})
+            for a in orders:
+                for b in orders:
+                    reduced = verify_witness_pair(g, a, b, classes=classes)
+                    full = unreduced(verify_witness_pair, g, a, b,
+                                     classes=classes)
+                    assert _witness_fields(reduced) == _witness_fields(full), \
+                        (name, a, b)
+
+    def test_m11_witness_reports_match_full_scan(self, group, unreduced):
+        g = group("M11")
+        classes = conjugacy_classes(g)
+        for a, b in ((2, 11), (3, 5), (2, 3)):
+            reduced = verify_witness_pair(g, a, b, classes=classes)
+            full = unreduced(verify_witness_pair, g, a, b, classes=classes)
+            assert _witness_fields(reduced) == _witness_fields(full), (a, b)
+
+    def test_criterion_reports_match_full_scan(self, group, unreduced):
+        for name in ("S4", "A5", "A6", "psl2:7"):
+            g = group(name)
+            assert check_criterion(g) == unreduced(check_criterion, g), name
+
+    def test_early_exit_past_the_first_orbit(self, group, unreduced):
+        # nonsolvable orbits are judged before the solvable y, and only the
+        # positions up to it may be tallied, not whole orbits
+        for name, a, b in (("psl2:7", 4, 3), ("A7", 3, 7)):
+            g = group(name)
+            classes = conjugacy_classes(g)
+            ys = [p.images for p in elements_of_order(g, b)]
+            judge = _PairJudge(g)
+            reduced = _witness_report(judge, classes, a, b, ys)
+            full = unreduced(verify_witness_pair, g, a, b, classes=classes)
+            assert not reduced.verified
+            assert 2 <= len(judge.cache) <= reduced.pairs_checked
+            assert _witness_fields(reduced) == _witness_fields(full), name
+
+    def test_m12_2_11_full_scan_counts(self, group):
+        # ATLAS: M12 has two classes of involutions (2A, 2B) and two classes
+        # of elements of order 11, each of size |M12| / 11 = 8640; <x, y> is
+        # L2(11), M11 or M12 itself
+        report = verify_witness_pair(group("M12"), 2, 11)
+        assert report.verified
+        assert report.pairs_checked == 2 * 17280
+        assert report.orders() == {660, 7920, 95040}
+        assert sum(report.outcome_orders.values()) == report.pairs_checked

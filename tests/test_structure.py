@@ -12,6 +12,7 @@ from solvcrit.engine import (
 )
 from solvcrit.permutation import Permutation, parse_cycles
 from solvcrit.structure import (
+    _centralizer_tuples,
     conjugacy_classes,
     derived_subgroup,
     elements_of_order,
@@ -208,3 +209,28 @@ class TestElementsOfOrder:
         monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
         with pytest.raises(EnumerationCapExceeded):
             elements_of_order(group("A5"), 5)
+
+
+def _agl1(p, root):
+    # AGL(1, p) on the points 0..p-1: x -> x + 1 and x -> root * x
+    g = build_group([Permutation([(x + 1) % p for x in range(p)]),
+                     Permutation([root * x % p for x in range(p)])])
+    assert g.order() == p * (p - 1)
+    return g
+
+
+class TestCentralizer:
+    def test_generators_centralize_and_close_to_class_quotient(self, group):
+        # C_G(x) has |G| / |class of x| elements (orbit-stabilizer)
+        names = ("A5", "A6", "A7", "psl2:7", "psl2:8", "psl2:9", "psl2:11",
+                 "psl2:13", "M11", "D60")
+        cases = [(name, group(name)) for name in names]
+        cases.append(("AGL(1,31)", _agl1(31, 3)))
+        for name, g in cases:
+            for c in conjugacy_classes(g):
+                x = c.representative.images
+                gens = _centralizer_tuples(g._gen_tuples, x, g.order())
+                for h in gens:
+                    assert oracles.mult(h, x) == oracles.mult(x, h), name
+                closure = oracles.closure(gens, g.degree)
+                assert len(closure) == g.order() // c.size, (name, c)
