@@ -18,6 +18,10 @@ and tallies every scanned y with its orbit's verdict, so the reports are
 exactly those of a scan that judges every y.  Scans are deterministic
 (enumeration order, first hit wins).  The exhaustive recheck of a criterion
 counterexample judges every pair and relies on no equivariance.
+
+Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
+solvable group, whose subgroups are all solvable, and a verdict's chain
+stops closing at |G|, which proves <x, y> = G (see ``StabilizerChain``).
 """
 
 from __future__ import annotations
@@ -99,39 +103,30 @@ class WitnessReport:
 
 
 class _PairJudge:
-    """Memoized (order, solvable) verdicts for two-generated subgroups.
+    """(order, solvable) verdicts for two-generated subgroups of one group.
 
-    The cache key is the sorted generator pair, so (x, y) and (y, x) share
-    one verdict; caching cannot change any verdict.  A subgroup whose order
-    equals the parent's order *is* the parent, so the parent's solvability
-    is reused without rerunning the derived series.  Centralizer generators
-    are computed the first time a scan needs them for an x, and kept.
+    <x, y>'s chain is bounded by |G|, so a pair generating G stops closing
+    as soon as its order reaches |G|, and G's solvability is reused without
+    rerunning the derived series.  Centralizer generators are computed the
+    first time a scan needs them for an x, and kept.
     """
 
     __slots__ = ("degree", "gens", "parent_order", "parent_solvable",
-                 "cache", "centralizers")
+                 "centralizers")
 
     def __init__(self, group: GroupHandle):
         self.degree = group.degree
         self.gens = group._gen_tuples
         self.parent_order = group.order()
         self.parent_solvable = is_solvable(group).solvable
-        self.cache: dict = {}
         self.centralizers: dict = {}
 
     def verdict(self, x: tuple, y: tuple) -> tuple:
-        key = (x, y) if x <= y else (y, x)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        order = StabilizerChain.build(key, self.degree).order()
+        order = StabilizerChain.build((x, y), self.degree,
+                                      bound=self.parent_order).order()
         if order == self.parent_order:
-            solvable = self.parent_solvable
-        else:
-            solvable = _solvability_tuples(key, self.degree, order).solvable
-        result = (order, solvable)
-        self.cache[key] = result
-        return result
+            return order, self.parent_solvable
+        return order, _solvability_tuples((x, y), self.degree, order).solvable
 
     def first_solvable(self, x: tuple, ys: Sequence[tuple],
                        outcomes: Counter, orbits: bool = True) -> tuple | None:
@@ -181,19 +176,29 @@ class _PairJudge:
 def check_criterion(group: GroupHandle) -> CriterionReport:
     """Check every ordered pair of conjugacy classes for a solvable witness.
 
-    For each ordered pair (C, D) the scan fixes x at C's representative and
-    ranges y over D in enumeration order (sound by conjugation equivariance),
-    judging one y per C_G(x)-orbit; ``subgroups_examined`` counts every y
-    scanned, as if each had been judged.  The first failing pair is
-    rechecked exhaustively over all of C x D, every pair judged with no
+    In a solvable group every subgroup is solvable, so each witness is (C's
+    representative, D's first member), and nothing is judged.  Otherwise x
+    is C's representative and y ranges over D in enumeration order (sound
+    by conjugation equivariance), one y judged per C_G(x)-orbit;
+    ``subgroups_examined`` counts every y scanned.  The first failing pair
+    is rechecked exhaustively over all of C x D, every pair judged with no
     orbit reduction, and reported as the counterexample.
     """
     classes = conjugacy_classes(group)
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
                  for i, c in enumerate(classes))
-    members = [[m.images for m in c.members] for c in classes]
     judge = _PairJudge(group)
-    witnesses: dict = {}
+    if judge.parent_solvable:
+        witnesses = {(i, j): (c.representative, d.members[0])
+                     for i, c in enumerate(classes)
+                     for j, d in enumerate(classes)}
+        return CriterionReport(holds=True, classes=refs,
+                               pairs_checked=len(witnesses),
+                               solvable_witnesses=witnesses,
+                               subgroups_examined=len(witnesses))
+
+    members = [[m.images for m in c.members] for c in classes]
+    witnesses = {}
     tally: Counter = Counter()
 
     for i, class_c in enumerate(classes):
@@ -210,11 +215,7 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
                 counterexample=(refs[i], refs[j]),
                 counterexample_rechecked=True,
                 subgroups_examined=sum(tally.values()))
-
-    return CriterionReport(holds=True, classes=refs,
-                           pairs_checked=len(witnesses),
-                           solvable_witnesses=witnesses,
-                           subgroups_examined=sum(tally.values()))
+    raise AssertionError("criterion holds on a nonsolvable group (engine bug)")
 
 
 def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],

@@ -100,16 +100,26 @@ class StabilizerChain:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, generators: Sequence[tuple], degree: int) -> "StabilizerChain":
+    def build(cls, generators: Sequence[tuple], degree: int, *,
+              bound: float = math.inf) -> "StabilizerChain":
+        """Chain of <generators>; ``bound``, the order of a group known to
+        contain it, stops closing once the chain's order reaches it.
+
+        Each transversal is at most the orbit of the true stabilizer, so a
+        partial chain's order is at most |<generators>|.  Reaching the bound
+        proves equality level by level: the stopped chain is a complete base
+        and strong generating set, and every query on it is exact.
+        """
         chain = cls(degree)
-        chain.extend(generators)
+        chain.extend(generators, bound=bound)
         return chain
 
-    def extend(self, generators: Iterable[tuple]) -> None:
-        """Adjoin generators and re-close the chain (incremental Schreier-Sims)."""
+    def extend(self, generators: Iterable[tuple], *,
+               bound: float = math.inf) -> None:
+        """Adjoin generators and re-close the chain, up to ``bound``."""
         for gen in generators:
             self._insert(gen, 0)
-        self._process_pending()
+        self._process_pending(bound)
 
     def _insert(self, g: tuple, entry: int) -> bool:
         """Sift g from ``entry`` and add a new strong generator if needed.
@@ -128,9 +138,9 @@ class StabilizerChain:
             self._levels[level].add_generator(residue)
         return True
 
-    def _process_pending(self) -> None:
+    def _process_pending(self, bound: float) -> None:
         levels = self._levels
-        while True:
+        while self.order() < bound:
             level = None
             for i in range(len(levels) - 1, -1, -1):
                 if levels[i].pending:
@@ -291,19 +301,17 @@ def normal_closure(group: GroupHandle,
         if s not in group:
             raise NotASubsetError(f"seed element {s} is not in the group")
     seed_tuples = [s.images for s in seeds]
-    closure_gens = _normal_closure_tuples(group._gen_tuples, seed_tuples,
-                                          group.degree)
-    if not closure_gens:
-        identity = Permutation.identity(group.degree)
-        return build_group([identity], label)
+    closure_gens, _chain = _normal_closure_tuples(
+        group._gen_tuples, seed_tuples, group.degree)
     perms = [Permutation._wrap(t) for t in closure_gens]
-    return build_group(perms, label)
+    return build_group(perms or [Permutation.identity(group.degree)], label)
 
 
 def _normal_closure_tuples(parent_gens: Sequence[tuple],
-                           seeds: Sequence[tuple],
-                           degree: int) -> list[tuple]:
-    """Generators of the normal closure, as image tuples."""
+                           seeds: Sequence[tuple], degree: int, *,
+                           bound: float = math.inf) -> tuple:
+    """Generators of the normal closure, as image tuples, and its chain,
+    which stops closing at ``bound`` (see :meth:`StabilizerChain.build`)."""
     identity = tuple(range(degree))
     chain = StabilizerChain(degree)
     added: list[tuple] = []
@@ -313,7 +321,7 @@ def _normal_closure_tuples(parent_gens: Sequence[tuple],
         h = queue.popleft()
         if chain.contains_tuple(h):
             continue
-        chain.extend([h])
+        chain.extend([h], bound=bound)
         added.append(h)
         for g_inv, g in parent_inv:
             queue.append(_mult(_mult(g_inv, h), g))
@@ -323,4 +331,4 @@ def _normal_closure_tuples(parent_gens: Sequence[tuple],
             if not chain.contains_tuple(conj):
                 raise AssertionError(
                     "normal closure not conjugation-closed (builder bug)")
-    return added
+    return added, chain

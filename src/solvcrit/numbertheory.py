@@ -8,8 +8,8 @@ p^(ke) - 1.  The *large* variants keep only primes r > e + 1, together with
 the composite (e+1)^2 when e + 1 is itself a (basic) primitive prime divisor
 and (e+1)^2 divides q^e - 1.
 
-All arithmetic is exact; inputs are range-checked against VALUE_LIMIT
-(2^96) rather than silently overflowing.
+Inputs are range-checked against VALUE_LIMIT (2^96).  Primes above psi_13
+(about 3.3e24) are only strong probable primes to the bases 2..97.
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(n: int) -> tuple:
-    """Exact prime factorization of n as a sorted multiset (tuple) of primes.
+    """Prime factorization of n as a sorted multiset (tuple) of factors.
 
     Trial division by the sieved primes up to 10^6 strips small factors
-    (stopping as soon as the cofactor is provably prime); any remaining
-    composite cofactor is split by deterministic Pollard rho.
+    (stopping once ``is_prime`` accepts the cofactor); Pollard rho splits
+    the rest.  Factors above psi_13 (3.3e24) are strong probable primes.
     """
     if n < 2:
         raise ValueError(f"cannot factor {n}; need n >= 2")

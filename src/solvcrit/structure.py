@@ -10,7 +10,7 @@ from .engine import (
     StabilizerChain,
     _element_tuples,
     _normal_closure_tuples,
-    build_group,
+    normal_closure,
 )
 from .permutation import Permutation, _inv, _mult, _tuple_order
 
@@ -113,22 +113,10 @@ def _centralizer_tuples(gen_tuples: Sequence[tuple], x: tuple,
     return gens
 
 
-def _derived_gens(gen_tuples: Sequence[tuple], degree: int) -> list[tuple]:
-    """Generators of the derived subgroup, as image tuples.
-
-    The derived subgroup is the normal closure of the commutators of the
-    generating set.
-    """
-    return _normal_closure_tuples(
-        gen_tuples, _commutator_tuples(gen_tuples, degree), degree)
-
-
 def derived_subgroup(group: GroupHandle) -> GroupHandle:
     """[G, G]: normal closure in G of the commutators of G's generators."""
-    gens = _derived_gens(group._gen_tuples, group.degree)
-    if not gens:
-        return build_group([Permutation.identity(group.degree)])
-    return build_group([Permutation._wrap(t) for t in gens])
+    commutators = _commutator_tuples(group._gen_tuples, group.degree)
+    return normal_closure(group, [Permutation._wrap(t) for t in commutators])
 
 
 def _solvability_tuples(gen_tuples: Sequence[tuple], degree: int,
@@ -136,8 +124,11 @@ def _solvability_tuples(gen_tuples: Sequence[tuple], degree: int,
     orders = [order]
     gens = list(gen_tuples)
     while orders[-1] > 1:
-        gens = _derived_gens(gens, degree)
-        next_order = StabilizerChain.build(gens, degree).order() if gens else 1
+        # the derived subgroup lies in the current term, whose order bounds
+        # its chain: a perfect term stops closing at its own order
+        gens, chain = _normal_closure_tuples(
+            gens, _commutator_tuples(gens, degree), degree, bound=orders[-1])
+        next_order = chain.order()
         if next_order == orders[-1]:
             # the series is stuck at a perfect nontrivial subgroup
             orders.append(next_order)

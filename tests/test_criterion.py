@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
 from solvcrit import criterion
 from solvcrit.criterion import (
+    ClassRef,
+    CriterionReport,
     OrderNotInSpectrumError,
     _PairJudge,
     _witness_report,
@@ -13,8 +16,9 @@ from solvcrit.criterion import (
     verify_witness_pair,
 )
 from solvcrit.engine import build_group, enumerate_elements
-from solvcrit.permutation import parse_cycles
+from solvcrit.permutation import Permutation, parse_cycles
 from solvcrit.structure import conjugacy_classes, elements_of_order, is_solvable
+from test_structure import _agl1
 
 
 def perm(text, degree):
@@ -75,6 +79,38 @@ class TestCheckCriterion:
         for name in ("C6", "S4", "A4", "A5", "F20", "psl2:7"):
             g = group(name)
             assert check_criterion(g).holds == is_solvable(g).solvable
+
+
+class TestSolvableParentShortcut:
+    def test_report_equals_scan_core(self, group):
+        # the shortcut judges no subgroup; its report must be the one the
+        # scan core gives when it judges every class pair
+        cases = [group(name) for name in ("S4", "C6", "F20", "D12", "D60")]
+        cases.append(_agl1(31, 3))
+        for g in cases:
+            classes = conjugacy_classes(g)
+            judge = _PairJudge(g)
+            witnesses, examined = {}, 0
+            for i, c in enumerate(classes):
+                for j, d in enumerate(classes):
+                    tally = Counter()
+                    y = judge.first_solvable(c.representative.images,
+                                             [m.images for m in d.members],
+                                             tally)
+                    witnesses[i, j] = (c.representative, Permutation(y))
+                    examined += sum(tally.values())
+            refs = tuple(ClassRef(i, c.order_of_elements, c.size)
+                         for i, c in enumerate(classes))
+            scanned = CriterionReport(
+                holds=True, classes=refs, pairs_checked=len(witnesses),
+                solvable_witnesses=witnesses, subgroups_examined=examined)
+            assert check_criterion(g) == scanned, g
+
+    def test_s4_witnesses_pass_the_oracles(self, group):
+        g = group("S4")
+        for (x, y) in check_criterion(g).solvable_witnesses.values():
+            sub = oracles.closure([x.images, y.images], g.degree)
+            assert oracles.brute_is_solvable(sub, g.degree)
 
 
 class TestVerifyWitnessPair:
@@ -166,28 +202,30 @@ class TestReductionSoundness:
             assert not is_solvable(build_group([x, y])).solvable
 
 
-class TestCacheCoherence:
-    def test_cached_and_uncached_verdicts_agree(self, group):
-        # the first call computes each verdict, the repeat reads the cache;
-        # both must match the brute-force closure and derived series
-        g = group("A5")
-        elems = list(enumerate_elements(g))
-        rng = random.Random(3)
-        judge = _PairJudge(g)
-        pairs = [(rng.choice(elems).images, rng.choice(elems).images)
-                 for _ in range(120)]
-        expected = {}
-        for x, y in pairs:
-            sub = oracles.closure([x, y], g.degree)
-            expected[x, y] = (len(sub),
-                              oracles.brute_is_solvable(sub, g.degree))
-        for x, y in pairs:
-            assert judge.verdict(x, y) == expected[x, y]
-        cached = len(judge.cache)
-        for x, y in pairs:
-            assert judge.verdict(x, y) == expected[x, y]
-            assert judge.verdict(y, x) == expected[x, y]
-        assert len(judge.cache) == cached
+class TestVerdicts:
+    def test_verdicts_match_oracles(self, group):
+        # every verdict, repeated and with the generators swapped, must
+        # match the brute-force closure and derived series; on A6 most
+        # pairs generate A6, so their chains stop at the known order
+        for name, seed, count in (("A5", 3, 120), ("A6", 5, 200)):
+            g = group(name)
+            elems = list(enumerate_elements(g))
+            rng = random.Random(seed)
+            judge = _PairJudge(g)
+            pairs = [(rng.choice(elems).images, rng.choice(elems).images)
+                     for _ in range(count)]
+            solvable = {}  # one brute-force series per distinct subgroup
+            expected = {}
+            for x, y in pairs:
+                sub = frozenset(oracles.closure([x, y], g.degree))
+                if sub not in solvable:
+                    solvable[sub] = oracles.brute_is_solvable(sub, g.degree)
+                expected[x, y] = (len(sub), solvable[sub])
+            for x, y in pairs:
+                assert judge.verdict(x, y) == expected[x, y]
+            for x, y in pairs:
+                assert judge.verdict(x, y) == expected[x, y]
+                assert judge.verdict(y, x) == expected[x, y]
 
 
 class TestSearchWitnessPairs:
@@ -233,6 +271,20 @@ class TestScanCore:
             assert tuple(p.images for p in report.counterexample) == (x, y)
             assert report.pairs_checked == position
             assert sum(report.outcome_orders.values()) == position
+
+
+class _CountingJudge(_PairJudge):
+    """The scan core, counting the subgroups it judges."""
+
+    __slots__ = ("judged",)
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.judged = 0
+
+    def verdict(self, x, y):
+        self.judged += 1
+        return super().verdict(x, y)
 
 
 class _UnreducedJudge(_PairJudge):
@@ -291,11 +343,11 @@ class TestOrbitReduction:
             g = group(name)
             classes = conjugacy_classes(g)
             ys = [p.images for p in elements_of_order(g, b)]
-            judge = _PairJudge(g)
+            judge = _CountingJudge(g)
             reduced = _witness_report(judge, classes, a, b, ys)
             full = unreduced(verify_witness_pair, g, a, b, classes=classes)
             assert not reduced.verified
-            assert 2 <= len(judge.cache) <= reduced.pairs_checked
+            assert 2 <= judge.judged <= reduced.pairs_checked
             assert _witness_fields(reduced) == _witness_fields(full), name
 
     def test_m12_2_11_full_scan_counts(self, group):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ import oracles
 from solvcrit.engine import (
     EnumerationCapExceeded,
     NotASubsetError,
+    StabilizerChain,
     build_group,
     enumerate_elements,
     normal_closure,
@@ -237,3 +240,30 @@ class TestConjugationConsistency:
             xt = t.inverse() * x * t
             yt = t.inverse() * y * t
             assert build_group([xt, yt]).order() == base
+
+
+class TestKnownOrderBound:
+    # <x, y> lies in G, so a build bounded by |G| may stop once its order
+    # reaches |G|; the chain it stops with must be as exact as a closed one
+    @pytest.mark.parametrize("name", ["A6", "psl2:8", "M11"])
+    def test_bounded_build_is_exact(self, group, name):
+        g = group(name)
+        n, order = g.degree, g.order()
+        elems = [p.images for p in enumerate_elements(g)]
+        rng = random.Random(name)
+        outsider = perm("(1 2)", n).images  # odd; these groups are simple
+        assert not g.chain.contains_tuple(outsider)
+        stopped = stopped_early = 0
+        for _ in range(40):
+            pair = (rng.choice(elems), rng.choice(elems))
+            bounded = StabilizerChain.build(pair, n, bound=order)
+            assert bounded.order() == StabilizerChain.build(pair, n).order()
+            if bounded.order() != order:
+                continue
+            stopped += 1
+            stopped_early += any(lv.pending for lv in bounded._levels)
+            for t in rng.sample(elems, 200) + [outsider]:
+                assert bounded.contains_tuple(t) == g.chain.contains_tuple(t)
+            if stopped == 1:
+                assert sorted(bounded.iter_tuples()) == sorted(elems)
+        assert stopped_early > 0, name

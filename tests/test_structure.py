@@ -13,6 +13,7 @@ from solvcrit.engine import (
 from solvcrit.permutation import Permutation, parse_cycles
 from solvcrit.structure import (
     _centralizer_tuples,
+    _solvability_tuples,
     conjugacy_classes,
     derived_subgroup,
     elements_of_order,
@@ -87,6 +88,38 @@ class TestSolvability:
             elements = {p.images for p in enumerate_elements(g)}
             brute = oracles.brute_is_solvable(elements, g.degree)
             assert is_solvable(g).solvable == brute
+
+
+def _unbounded_series(handle):
+    # derived_subgroup closes every chain in full
+    orders = [handle.order()]
+    while orders[-1] > 1:
+        handle = derived_subgroup(handle)
+        orders.append(handle.order())
+        if orders[-1] == orders[-2]:
+            break
+    return orders
+
+
+class TestBoundedDerivedStep:
+    # each derived step stops once its closure reaches the order of the
+    # subgroup it starts from, which proves that subgroup perfect
+    def test_series_matches_unbounded_closure(self, group):
+        for name in ("A6", "psl2:8", "M11"):
+            g = group(name)
+            elems = [p.images for p in enumerate_elements(g)]
+            rng = random.Random(name)
+            for _ in range(15):
+                pair = (rng.choice(elems), rng.choice(elems))
+                h = build_group([Permutation(t) for t in pair])
+                series = _solvability_tuples(pair, g.degree, h.order())
+                assert list(series.series_orders) == _unbounded_series(h), \
+                    (name, pair)
+
+    def test_perfect_subgroup_stops_at_its_order(self):
+        # A5 on the points 2..6 of A6
+        pair = (perm("(2 3 4 5 6)", 6).images, perm("(2 3 4)", 6).images)
+        assert _solvability_tuples(pair, 6, 60).series_orders == (60, 60)
 
 
 class TestConjugacyClasses:
