@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .engine import GroupHandle, StabilizerChain, _element_tuples
 from .numbertheory import is_prime
-from .permutation import Permutation, _inv, _mult, _tuple_order
+from .permutation import Permutation, _conjugators, _mult, _tuple_order
 from .structure import (
     ConjugacyClass,
     _centralizer_tuples,
@@ -159,15 +159,15 @@ class _PairJudge:
         # <x, y^c> = <x, y>^c for c in C_G(x): one verdict per orbit
         conjugators = self.centralizers.get(x)
         if conjugators is None:
-            conjugators = [(_inv(c), c) for c in _centralizer_tuples(
-                self.gens, x, self.parent_order)]
+            conjugators = _conjugators(_centralizer_tuples(
+                self.gens, x, self.parent_order))
             self.centralizers[x] = conjugators
         known[k] = verdict
         stack = [k]
         while stack:
             z = ys[stack.pop()]
-            for c_inv, c in conjugators:
-                i = position[_mult(_mult(c_inv, z), c)]
+            for c, by_c_inv in conjugators:
+                i = position[by_c_inv(_mult(z, c))]
                 if known[i] is None:
                     known[i] = verdict
                     stack.append(i)

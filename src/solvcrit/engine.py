@@ -19,7 +19,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .permutation import DegreeMismatchError, Permutation, _inv, _mult
+from .permutation import (
+    DegreeMismatchError,
+    Permutation,
+    _conjugators,
+    _inv,
+    _mult,
+    _mult_by,
+)
 
 DEFAULT_ENUM_CAP = 2_000_000
 ENUM_CAP_ENV = "SOLVCRIT_ENUM_CAP"
@@ -45,14 +52,20 @@ def enumeration_cap() -> int:
 
 
 class _Level:
-    """One level of the chain: a base point with transversal and generators."""
+    """One level of the chain: a base point with transversal and generators.
 
-    __slots__ = ("point", "gens", "transversal", "orbit", "pending")
+    ``inverses`` holds each transversal representative's inverse, computed
+    once when its orbit point is added, for sifting and Schreier generators.
+    """
+
+    __slots__ = ("point", "gens", "transversal", "inverses", "orbit",
+                 "pending")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list[tuple] = []
         self.transversal: dict[int, tuple] = {point: identity}
+        self.inverses: dict[int, tuple] = {point: identity}
         self.orbit: list[int] = [point]
         # Schreier-generator work queue of (orbit point, generator index)
         self.pending: deque = deque()
@@ -68,6 +81,7 @@ class _Level:
         # Transversals are append-only: reps for already-known points never
         # change, which keeps previously processed Schreier pairs valid.
         transversal = self.transversal
+        inverses = self.inverses
         gens = self.gens
         frontier = list(self.orbit)
         while frontier:
@@ -77,7 +91,8 @@ class _Level:
                 for gen in gens:
                     y = gen[x]
                     if y not in transversal:
-                        transversal[y] = _mult(rep, gen)
+                        transversal[y] = new_rep = _mult(rep, gen)
+                        inverses[y] = _inv(new_rep)
                         self.orbit.append(y)
                         new_frontier.append(y)
                         for idx in range(len(gens)):
@@ -140,7 +155,8 @@ class StabilizerChain:
 
     def _process_pending(self, bound: float) -> None:
         levels = self._levels
-        while self.order() < bound:
+        order = self.order()
+        while order < bound:
             level = None
             for i in range(len(levels) - 1, -1, -1):
                 if levels[i].pending:
@@ -151,13 +167,14 @@ class StabilizerChain:
             lv = levels[level]
             x, gen_idx = lv.pending.popleft()
             gen = lv.gens[gen_idx]
-            rep = lv.transversal[x]
-            walked = _mult(rep, gen)
-            back = lv.transversal[gen[x]]
-            if walked == back:
+            walked = _mult(lv.transversal[x], gen)
+            y = gen[x]
+            if walked == lv.transversal[y]:
                 continue
-            schreier = _mult(walked, _inv(back))
-            self._insert(schreier, level + 1)
+            schreier = _mult(walked, lv.inverses[y])
+            if self._insert(schreier, level + 1):
+                # the order moves only when a strong generator is added
+                order = self.order()
 
     def _sift(self, g: tuple, start: int = 0) -> tuple:
         """Reduce g by transversal representatives.
@@ -173,10 +190,10 @@ class StabilizerChain:
             y = g[lv.point]
             if y == lv.point:
                 continue
-            rep = lv.transversal.get(y)
-            if rep is None:
+            rep_inv = lv.inverses.get(y)
+            if rep_inv is None:
                 return g, i
-            g = _mult(g, _inv(rep))
+            g = _mult(g, rep_inv)
         if g == identity:
             return None, len(levels)
         return g, len(levels)
@@ -215,8 +232,7 @@ class StabilizerChain:
             lv = self._levels[index]
             reps = [lv.transversal[x] for x in sorted(lv.transversal)]
             for deeper in rec(index + 1):
-                for rep in reps:
-                    yield _mult(deeper, rep)
+                yield from map(_mult_by(deeper), reps)
 
         return rec(0)
 
@@ -316,19 +332,18 @@ def _normal_closure_tuples(parent_gens: Sequence[tuple],
     chain = StabilizerChain(degree)
     added: list[tuple] = []
     queue = deque(t for t in seeds if t != identity)
-    parent_inv = [(_inv(g), g) for g in parent_gens]
+    conjugators = _conjugators(parent_gens)
     while queue:
         h = queue.popleft()
         if chain.contains_tuple(h):
             continue
         chain.extend([h], bound=bound)
         added.append(h)
-        for g_inv, g in parent_inv:
-            queue.append(_mult(_mult(g_inv, h), g))
+        for g, by_g_inv in conjugators:
+            queue.append(by_g_inv(_mult(h, g)))
     for h in added:
-        for g_inv, g in parent_inv:
-            conj = _mult(_mult(g_inv, h), g)
-            if not chain.contains_tuple(conj):
+        for g, by_g_inv in conjugators:
+            if not chain.contains_tuple(by_g_inv(_mult(h, g))):
                 raise AssertionError(
                     "normal closure not conjugation-closed (builder bug)")
     return added, chain

@@ -221,9 +221,14 @@ class DivisorSet:
 
 
 def _ppd_primes(base: int, e: int) -> tuple:
-    """Primes r with r | base^e - 1 and r not dividing base^i - 1 for i < e."""
-    value = base ** e - 1
-    _check_range(value, f"{base}^{e} - 1")
+    """Primes r with r | base^e - 1 and r not dividing base^i - 1 for i < e.
+
+    Every such r divides the cyclotomic factor Phi_e(base) of base^e - 1,
+    so only that (much smaller) factor is factorized; its other prime
+    factors (at most the largest prime dividing e) fail the order filter.
+    """
+    _check_range(base ** e - 1, f"{base}^{e} - 1")
+    value = _cyclotomic(e, base)
     if value == 1:
         return ()
     out = []
@@ -351,12 +356,16 @@ def alternating_pair(m: int) -> tuple:
 
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    fs = factorize(n)
-    if len(fs) != len(set(fs)):
-        return 0
-    return -1 if len(fs) % 2 else 1
+    # trial division: n divides a cyclotomic index, which is small
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 def divisors(n: int) -> Iterator[int]:
@@ -381,6 +390,11 @@ def cyclotomic_value(k: int, q: int) -> int:
     if q < 2:
         raise ValueError("need q >= 2")
     _check_range(q ** k, f"{q}^{k}")
+    return _cyclotomic(k, q)
+
+
+def _cyclotomic(k: int, q: int) -> int:
+    # Phi_k(q), unchecked: the product of (q^d - 1)^mu(k/d) over d | k
     numerator = 1
     denominator = 1
     for d in divisors(k):

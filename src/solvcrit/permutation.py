@@ -4,12 +4,23 @@ Points are 1-based in every public surface (cycle strings, ``support``,
 ``apply``); storage is a 0-based image tuple.  Composition is fixed once,
 package-wide, as left-to-right application: ``(p * q)`` means "apply p,
 then q", i.e. ``(p * q)(x) = q(p(x))``.
+
+The private kernel below is the only compose, invert and order code in the
+package.  Composition runs at C speed: ``_mult_by(p)`` is
+``operator.itemgetter(*p)``, the map q -> p * q, since
+``(p * q)[i] = q[p[i]]``.  A hot loop with a fixed left factor builds that
+getter once and calls it per element; ``_mult(p, q)`` builds it per call.
+With a single index ``itemgetter`` returns a scalar, not a 1-tuple, so at
+degree 1 ``_mult_by`` returns ``tuple`` instead (the only permutation of
+one point is the identity, and ``tuple`` returns a tuple argument as is).
+``_mult_by`` is the one place that builds an ``itemgetter``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 
 class CycleParseError(ValueError):
@@ -20,9 +31,16 @@ class DegreeMismatchError(ValueError):
     """Operands act on different numbers of points."""
 
 
+def _mult_by(p: tuple) -> Callable[[tuple], tuple]:
+    """The map q -> p * q (apply p, then q) for a fixed left factor p."""
+    if len(p) == 1:
+        return tuple
+    return itemgetter(*p)
+
+
 def _mult(p: tuple, q: tuple) -> tuple:
     # apply p, then q
-    return tuple(map(q.__getitem__, p))
+    return _mult_by(p)(q)
 
 
 def _inv(p: tuple) -> tuple:
@@ -30,6 +48,14 @@ def _inv(p: tuple) -> tuple:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
+
+
+def _conjugators(gens: Sequence[tuple]) -> list:
+    """(g, by_g_inv) for each g, with by_g_inv = _mult_by(g^-1) prebuilt.
+
+    The conjugate t^g = g^-1 * t * g is then ``by_g_inv(_mult(t, g))``.
+    """
+    return [(g, _mult_by(_inv(g))) for g in gens]
 
 
 def _tuple_order(p: tuple) -> int:

@@ -12,7 +12,13 @@ from .engine import (
     _normal_closure_tuples,
     normal_closure,
 )
-from .permutation import Permutation, _inv, _mult, _tuple_order
+from .permutation import (
+    Permutation,
+    _conjugators,
+    _inv,
+    _mult,
+    _tuple_order,
+)
 
 
 @dataclass(frozen=True)
@@ -76,34 +82,36 @@ def _centralizer_tuples(gen_tuples: Sequence[tuple], x: tuple,
     """Generators of the centralizer C_G(x), as image tuples.
 
     A breadth-first search of x's class under G's generators records, for
-    each member c, a conjugator t_c with x^(t_c) = c.  By Schreier's lemma
+    each member c, a conjugator t_c with x^(t_c) = c and its inverse (for
+    c = d^g, t_c = t_d g has inverse g^-1 t_d^-1).  By Schreier's lemma
     the elements t_c g t_(c^g)^-1 generate C_G(x); each one that enlarges
     the chain built so far is kept, until the chain's order reaches
     |G| / |class|.
     """
-    conjugators = [(_inv(g), g) for g in gen_tuples]
-    transversal = {x: tuple(range(len(x)))}
+    conjugators = _conjugators(gen_tuples)
+    identity = tuple(range(len(x)))
+    transversal = {x: (identity, identity)}
     frontier = [x]
     while frontier:
         new_frontier = []
         for c in frontier:
-            t = transversal[c]
-            for g_inv, g in conjugators:
-                d = _mult(_mult(g_inv, c), g)
+            t, t_inv = transversal[c]
+            for g, by_g_inv in conjugators:
+                d = by_g_inv(_mult(c, g))
                 if d not in transversal:
-                    transversal[d] = _mult(t, g)
+                    transversal[d] = (_mult(t, g), by_g_inv(t_inv))
                     new_frontier.append(d)
         frontier = new_frontier
 
     target = group_order // len(transversal)
     chain = StabilizerChain(len(x))
     gens: list[tuple] = []
-    for c, t in transversal.items():
-        for g_inv, g in conjugators:
+    for c, (t, _t_inv) in transversal.items():
+        for g, by_g_inv in conjugators:
             if chain.order() == target:
                 return gens
-            back = transversal[_mult(_mult(g_inv, c), g)]
-            schreier = _mult(_mult(t, g), _inv(back))
+            back_inv = transversal[by_g_inv(_mult(c, g))][1]
+            schreier = _mult(_mult(t, g), back_inv)
             if not chain.contains_tuple(schreier):
                 chain.extend([schreier])
                 gens.append(schreier)
@@ -151,7 +159,7 @@ def conjugacy_classes(group: GroupHandle) -> list:
     """
     elements = list(_element_tuples(group))
     position = {t: i for i, t in enumerate(elements)}
-    conjugators = [(_inv(g), g) for g in group._gen_tuples]
+    conjugators = _conjugators(group._gen_tuples)
 
     assigned = [False] * len(elements)
     raw_classes = []
@@ -164,8 +172,8 @@ def conjugacy_classes(group: GroupHandle) -> list:
         while frontier:
             new_frontier = []
             for t in frontier:
-                for g_inv, g in conjugators:
-                    c = _mult(_mult(g_inv, t), g)
+                for g, by_g_inv in conjugators:
+                    c = by_g_inv(_mult(t, g))
                     j = position[c]
                     if not assigned[j]:
                         assigned[j] = True

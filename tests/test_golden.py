@@ -1,0 +1,64 @@
+"""Golden CLI output: the sha256 of stdout and the exit code of fast commands.
+
+The digests were recorded before the permutation kernel moved to
+``operator.itemgetter``; any change to the bytes a command prints fails
+here.  ``criterion --group A6`` exits 1 by design (A6 is not solvable).
+Commands run in-process through ``cli.main`` to keep the set fast.
+"""
+
+import hashlib
+
+import pytest
+
+from solvcrit.cli import main
+
+GOLDEN = [
+    ("classes --group M11", "text", 0,
+     "fbf3edc2b37eecc246664150ff63f9f7b773984f3bf0be1083c30280ce2a90ea"),
+    ("classes --group M11", "json", 0,
+     "0841973f494770c158c03d6fd6fb4635b3c982bf6b51bd64da38ef767ad0e91a"),
+    ("criterion --group A6", "text", 1,
+     "2fd5b2704d2d08f7afba9db409e0b9a3a83ffd36e12ccb842c4d89527dc9a5f0"),
+    ("criterion --group A6", "json", 1,
+     "846e3fd10195ac5b3fa7da2ec5973e088ae9813db0ac1a6ff6cd824cbe069c71"),
+    ("witness verify 2 11 --group M11", "text", 0,
+     "5bc22a921c31bcd7b57edfc424a9de636c4b3297d77d534a12fb94755f2c7ad8"),
+    ("witness verify 2 11 --group M11", "json", 0,
+     "f976a89a097891d7e13c252123f5543e3ce08f7002d01f09bc0a279107e2843e"),
+    ("witness search --group A7 --primes", "text", 0,
+     "61ba9061f5537ede2d0708cf767978468db9f13c5f04a391df0c45a4aad68524"),
+    ("witness search --group A7 --primes", "json", 0,
+     "423b077a54c72db6bd9ada844d10fa3df1703f9551ef086f4e1ba0704a3e3fe4"),
+    ("zsigmondy-scan 32 20", "text", 0,
+     "8da7e229ac13160e0ba3e6e0d98a4f907f097a96dadd7c5c503b59e669661e7e"),
+    ("zsigmondy-scan 32 20", "json", 0,
+     "82f925a73e2c6842ab5d391e407b930d5e4c0fc6edc73c946c4d164ed1e6b876"),
+    ("ppd 2 96", "text", 0,
+     "e24b4a17c401c992eabfed80168f282094e12ea85034a789da478d14290d8b60"),
+    ("ppd 2 96", "json", 0,
+     "f891b94692fff9179f505ec877c8b14bfa9d433f3304fb5c460b3f669b14ffe2"),
+    ("classes --group C1", "text", 0,
+     "fd7b7d28f7ca5f63b1b8745b42ee657a128f9d17cb1380678bfda03962ed3ede"),
+    ("classes --group C1", "json", 0,
+     "c9716bb9ff923c7246e8cbe6cab2ae76ba8c6aac1faf3035ffff302f3050dc7a"),
+    ("criterion --group C1", "text", 0,
+     "50a1372d3c18879583b988372fdea0c62ae3aaedecdc02b905b12a0c9673a6a0"),
+    ("criterion --group C1", "json", 0,
+     "1290f3fdb92724799c5869c4dede7990eaea6c2b826d872edd8fe3ebbb74eff6"),
+    ("solvable --group C1", "text", 0,
+     "ac6b6cc9771cc18c7756d7870aaac118c675b330ccb550fb3e84db22892ee01a"),
+    ("solvable --group C1", "json", 0,
+     "351939c8f38bf2c3d7da6b988be936b4862be4bd074eecc6c69075b4c439fe21"),
+    ("criterion --group D2", "text", 0,
+     "69cc3cb349fcdce1ed2f8cd2fa887ff510901422d6e53cb6ddd11e905b07a3ba"),
+    ("criterion --group D2", "json", 0,
+     "1dad5b836c92a6c28dd3f2bb020afe19782683469cedaab53689d8b6f6c6a18f"),
+]
+
+
+@pytest.mark.parametrize("command, fmt, code, digest", GOLDEN,
+                         ids=[f"{c} [{f}]" for c, f, _, _ in GOLDEN])
+def test_golden_output(capsys, command, fmt, code, digest):
+    assert main(command.split() + ["--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,6 +10,8 @@ from solvcrit.numbertheory import (
     LBPD_EMPTY_PAIRS,
     PrimePower,
     ValueOutOfRangeError,
+    _mobius,
+    _ppd_primes,
     alternating_pair,
     bppd,
     cyclotomic_value,
@@ -113,6 +115,37 @@ class TestPpd:
         for pp in prime_powers_upto(16):
             for e in range(1, 9):
                 assert ppd(pp, e).primes == oracles.brute_ppd_primes(pp.q, e)
+
+    def test_cyclotomic_factor_beyond_cyclotomic_range(self):
+        # Phi_96(2) is factored although cyclotomic_value(96, 2) refuses
+        # 2^96; all four name the same primitive divisors of 2^96 - 1
+        with pytest.raises(ValueOutOfRangeError):
+            cyclotomic_value(96, 2)
+        expected = (193, 22253377)
+        assert ppd(2, 96).primes == expected
+        assert ppd(4, 48).primes == expected
+        assert ppd(16, 24).primes == expected
+        assert bppd(16, 24).primes == expected
+
+    def test_matches_factor_everything_on_benchmark_grid(self):
+        # the grid of the benchmark's ppd workload: prime powers q <= 64,
+        # 2 <= e <= 24, q^e < 2^96, with each ppd and bppd exponent
+        def factor_everything(base, e):
+            value = base**e - 1
+            if value == 1:
+                return ()
+            return tuple(r for r in sorted(set(factorize(value)))
+                         if all(pow(base, i, r) != 1 for i in range(1, e)))
+
+        cells = set()
+        for pp in prime_powers_upto(64):
+            for e in range(2, 25):
+                if pp.q**e < 2**96:
+                    cells.add((pp.q, e))
+                    cells.add((pp.p, pp.k * e))
+        assert len(cells) == 601
+        for base, e in sorted(cells):
+            assert _ppd_primes(base, e) == factor_everything(base, e), (base, e)
 
     def test_bppd_subset_of_ppd_and_strict_somewhere(self):
         strict = False
@@ -255,6 +288,10 @@ class TestCyclotomic:
         for k in range(1, 25):
             for q in (2, 3, 5):
                 assert cyclotomic_value(k, q) == oracles.naive_cyclotomic(k, q)
+
+    def test_mobius_agrees_with_sympy(self):
+        for n in range(1, 500):
+            assert _mobius(n) == sympy.mobius(n), n
 
     def test_agrees_with_sympy(self):
         from sympy.abc import x

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -7,6 +7,8 @@ from solvcrit.permutation import (
     CycleParseError,
     DegreeMismatchError,
     Permutation,
+    _conjugators,
+    _mult_by,
     format_cycles,
     parse_cycles,
 )
@@ -111,6 +113,23 @@ class TestAlgebra:
         square = oracles.mult(p.images, p.images)
         assert (p ** -2).images == oracles.inv(square)
         assert p.order() == oracles.tuple_order(p.images)
+
+    @given(same_degree_pairs(max_degree=12))
+    @example((Permutation((0,)), Permutation((0,))))
+    def test_mult_by_matches_oracle(self, pq):
+        # degree 1 is the case where itemgetter alone would return a scalar
+        p, q = pq
+        assert _mult_by(p.images)(q.images) == oracles.mult(p.images, q.images)
+
+    @given(same_degree_pairs(max_degree=12))
+    @example((Permutation((0,)), Permutation((0,))))
+    def test_conjugators_conjugate(self, pt):
+        g, t = pt
+        [(same, by_g_inv)] = _conjugators([g.images])
+        assert same == g.images
+        expected = oracles.mult(oracles.mult(oracles.inv(g.images), t.images),
+                                g.images)
+        assert by_g_inv(_mult_by(t.images)(g.images)) == expected
 
     def test_pow(self):
         p = parse_cycles("(1 2 3 4 5)", 5)

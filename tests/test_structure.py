@@ -267,3 +267,58 @@ class TestCentralizer:
                     assert oracles.mult(h, x) == oracles.mult(x, h), name
                 closure = oracles.closure(gens, g.degree)
                 assert len(closure) == g.order() // c.size, (name, c)
+
+
+SMALL_DEGREE_GROUPS = {
+    "trivial (degree 1)": [Permutation.identity(1)],
+    "S2": [Permutation((1, 0))],
+    "C2 x C2": [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DEGREE_GROUPS))
+class TestSmallDegrees:
+    """Degrees 1 and 2, where a one-index ``itemgetter`` returns a scalar."""
+
+    @staticmethod
+    def _setup(name):
+        g = build_group(SMALL_DEGREE_GROUPS[name])
+        return g, oracles.closure(g._gen_tuples, g.degree)
+
+    def test_enumerate_elements(self, name):
+        g, elements = self._setup(name)
+        listed = [p.images for p in enumerate_elements(g)]
+        assert len(listed) == g.order() == len(elements)
+        assert set(listed) == elements
+
+    def test_conjugacy_classes(self, name):
+        g, elements = self._setup(name)
+        got = {frozenset(m.images for m in c.members)
+               for c in conjugacy_classes(g)}
+        assert got == {frozenset(c)
+                       for c in oracles.conjugacy_partition(elements)}
+
+    def test_centralizer(self, name):
+        g, elements = self._setup(name)
+        for c in conjugacy_classes(g):
+            x = c.representative.images
+            gens = _centralizer_tuples(g._gen_tuples, x, g.order())
+            expected = {h for h in elements
+                        if oracles.mult(h, x) == oracles.mult(x, h)}
+            assert oracles.closure(gens, g.degree) == expected
+
+    def test_normal_closure(self, name):
+        g, elements = self._setup(name)
+        for seed in sorted(elements):
+            conjugates = {oracles.mult(oracles.mult(oracles.inv(t), seed), t)
+                          for t in elements}
+            closed = normal_closure(g, [Permutation(seed)])
+            assert {p.images for p in enumerate_elements(closed)} == \
+                oracles.closure(conjugates, g.degree)
+
+    def test_is_solvable(self, name):
+        g, elements = self._setup(name)
+        result = is_solvable(g)
+        assert result.solvable == oracles.brute_is_solvable(elements, g.degree)
+        assert result.series_orders[0] == len(elements)
+        assert result.series_orders[-1] == 1
