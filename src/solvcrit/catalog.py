@@ -49,8 +49,8 @@ def make_cyclic(n: int) -> GroupHandle:
 
 
 def make_symmetric(m: int) -> GroupHandle:
-    if m < 3:
-        raise ValueError("need m >= 3")
+    if m < 2:
+        raise ValueError("need m >= 2")
     cycle = Permutation(tuple((i + 1) % m for i in range(m)))
     swap = parse_cycles("(1 2)", m)
     return _gate(build_group([cycle, swap], label=f"S{m}"),

@@ -15,8 +15,9 @@ verdict is constant on the orbits of y under conjugation by the centralizer
 C_G(x), since <x, y^c> = <x, y>^c for c in C_G(x).  Both scans run through
 one core, ``_PairJudge.first_solvable``, which judges one y per C_G(x)-orbit
 and tallies every scanned y with its orbit's verdict, so the reports are
-exactly those of a scan that judges every y.  Scans are deterministic
-(enumeration order, first hit wins).  The exhaustive recheck of a criterion
+exactly those of a scan that judges every y.  Each scan reads one class
+partition, one enumeration of G.  Scans are deterministic (enumeration
+order, first hit wins).  The exhaustive recheck of a criterion
 counterexample judges every pair and relies on no equivariance.
 
 Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
@@ -30,15 +31,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .engine import GroupHandle, StabilizerChain, _element_tuples
+from .engine import GroupHandle, StabilizerChain
 from .numbertheory import is_prime
-from .permutation import Permutation, _conjugators, _mult, _tuple_order
+from .permutation import Permutation, _conjugators, _mult
 from .structure import (
-    ConjugacyClass,
     _centralizer_tuples,
+    _class_partition,
     _solvability_tuples,
     conjugacy_classes,
-    elements_of_order,
     is_solvable,
 )
 
@@ -232,9 +232,7 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
                 "equivariance violated (engine bug)")
 
 
-def verify_witness_pair(group: GroupHandle, a: int, b: int,
-                        classes: Sequence[ConjugacyClass] | None = None,
-                        ) -> WitnessReport:
+def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
     """Check that every (x, y) with |x| = a, |y| = b generates nonsolvably.
 
     The scan pairs each conjugacy-class representative x of order ``a`` with
@@ -244,28 +242,30 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int,
     every y scanned with its orbit's verdict, so they equal those of a scan
     that judges each pair.
     """
-    if classes is None:
-        classes = conjugacy_classes(group)
-    if not any(c.order_of_elements == a for c in classes):
-        raise OrderNotInSpectrumError(f"no element of order {a} in the group")
-    if not any(c.order_of_elements == b for c in classes):
-        raise OrderNotInSpectrumError(f"no element of order {b} in the group")
-    ys = [p.images for p in elements_of_order(group, b)]
-    return _witness_report(_PairJudge(group), classes, a, b, ys)
+    elements, partition = _class_partition(group)
+    orders = {order for order, _positions in partition}
+    for m in (a, b):
+        if m not in orders:
+            raise OrderNotInSpectrumError(
+                f"no element of order {m} in the group")
+    return _witness_report(_PairJudge(group), elements, partition, a, b)
 
 
-def _witness_report(judge: _PairJudge, classes: Sequence[ConjugacyClass],
-                    a: int, b: int, ys: Sequence[tuple]) -> WitnessReport:
-    # the scan behind verify_witness_pair and each search candidate; ys are
-    # the elements of order b in enumeration order
+def _witness_report(judge: _PairJudge, elements: list, partition: list,
+                    a: int, b: int) -> WitnessReport:
+    # the scan behind verify_witness_pair and each search candidate; the
+    # order-b classes' merged positions list order b in enumeration order
+    ys = [elements[k] for k in sorted(
+        k for order, positions in partition if order == b for k in positions)]
     outcomes: Counter = Counter()
     counterexample = None
-    for c in classes:
-        if c.order_of_elements != a:
+    for order, positions in partition:
+        if order != a:
             continue
-        y = judge.first_solvable(c.representative.images, ys, outcomes)
+        x = elements[positions[0]]
+        y = judge.first_solvable(x, ys, outcomes)
         if y is not None:
-            counterexample = (c.representative, Permutation._wrap(y))
+            counterexample = (Permutation._wrap(x), Permutation._wrap(y))
             break
     return WitnessReport(a=a, b=b, verified=counterexample is None,
                          outcome_orders=dict(outcomes),
@@ -280,23 +280,13 @@ def search_witness_pairs(group: GroupHandle,
     Pairs are drawn from the group's order spectrum (a = b permitted) and
     returned in lexicographic order.  With ``restrict_to_primes``, only
     pairs of distinct primes are tried.  Every candidate is scanned as in
-    ``verify_witness_pair``, from one enumeration of the group and one
-    shared set of verdicts and centralizers.
+    ``verify_witness_pair``, from the one class partition of the group and
+    one shared set of verdicts and centralizers.
     """
-    classes = conjugacy_classes(group)
-    orders = sorted({c.order_of_elements for c in classes})
-    candidates = []
-    for i, a in enumerate(orders):
-        for b in orders[i:]:
-            if restrict_to_primes and (a == b or not is_prime(a)
-                                       or not is_prime(b)):
-                continue
-            candidates.append((a, b))
-    ys_by_order: dict = {b: [] for _a, b in candidates}
-    for t in _element_tuples(group):
-        bucket = ys_by_order.get(_tuple_order(t))
-        if bucket is not None:
-            bucket.append(t)
+    elements, partition = _class_partition(group)
+    orders = sorted({order for order, _positions in partition})
     judge = _PairJudge(group)
-    return [(a, b) for a, b in candidates
-            if _witness_report(judge, classes, a, b, ys_by_order[b]).verified]
+    return [(a, b) for i, a in enumerate(orders) for b in orders[i:]
+            if not (restrict_to_primes
+                    and (a == b or not is_prime(a) or not is_prime(b)))
+            and _witness_report(judge, elements, partition, a, b).verified]

@@ -150,12 +150,9 @@ def is_solvable(group: GroupHandle) -> SolvabilityResult:
     return _solvability_tuples(group._gen_tuples, group.degree, group.order())
 
 
-def conjugacy_classes(group: GroupHandle) -> list:
-    """Partition of the group into conjugation orbits.
-
-    Classes are sorted by (element order, size, first appearance in the
-    enumeration order); each class representative is its earliest member.
-    Requires the group to be within the enumeration cap.
+def _class_partition(group: GroupHandle) -> tuple[list, list]:
+    """Element tuples in enumeration order, and the conjugacy classes in
+    ``conjugacy_classes`` order as (element order, sorted member positions).
     """
     elements = list(_element_tuples(group))
     position = {t: i for i, t in enumerate(elements)}
@@ -181,14 +178,24 @@ def conjugacy_classes(group: GroupHandle) -> list:
                         new_frontier.append(c)
             frontier = new_frontier
         members_idx.sort()
-        raw_classes.append((_tuple_order(start), len(members_idx), i,
-                            members_idx))
+        raw_classes.append((_tuple_order(start), members_idx))
+    raw_classes.sort(key=lambda c: (c[0], len(c[1]), c[1][0]))
+    return elements, raw_classes
 
-    raw_classes.sort(key=lambda c: (c[0], c[1], c[2]))
+
+def conjugacy_classes(group: GroupHandle) -> list:
+    """Partition of the group into conjugation orbits.
+
+    Classes are sorted by (element order, size, first appearance in the
+    enumeration order); each class representative is its earliest member.
+    Requires the group to be within the enumeration cap.
+    """
+    elements, partition = _class_partition(group)
     classes = []
-    for elt_order, size, _first, members_idx in raw_classes:
+    for elt_order, members_idx in partition:
         members = tuple(Permutation._wrap(elements[j]) for j in members_idx)
-        classes.append(ConjugacyClass(members[0], size, members, elt_order))
+        classes.append(ConjugacyClass(members[0], len(members), members,
+                                      elt_order))
     return classes
 
 

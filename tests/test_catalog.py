@@ -44,7 +44,7 @@ class TestConstructors:
             assert make_alternating(m).order() == math.factorial(m) // 2
 
     def test_symmetric_orders(self):
-        for m in range(3, 8):
+        for m in range(2, 8):
             assert make_symmetric(m).order() == math.factorial(m)
 
     def test_cyclic_orders(self):
@@ -72,7 +72,7 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_alternating(2)
         with pytest.raises(ValueError):
-            make_symmetric(2)
+            make_symmetric(1)
         with pytest.raises(ValueError):
             make_cyclic(0)
         with pytest.raises(ValueError):

@@ -15,9 +15,14 @@ from solvcrit.criterion import (
     search_witness_pairs,
     verify_witness_pair,
 )
-from solvcrit.engine import build_group, enumerate_elements
+from solvcrit.engine import StabilizerChain, build_group, enumerate_elements
 from solvcrit.permutation import Permutation, parse_cycles
-from solvcrit.structure import conjugacy_classes, elements_of_order, is_solvable
+from solvcrit.structure import (
+    _class_partition,
+    conjugacy_classes,
+    elements_of_order,
+    is_solvable,
+)
 from test_structure import _agl1
 
 
@@ -317,18 +322,16 @@ class TestOrbitReduction:
             orders = sorted({c.order_of_elements for c in classes})
             for a in orders:
                 for b in orders:
-                    reduced = verify_witness_pair(g, a, b, classes=classes)
-                    full = unreduced(verify_witness_pair, g, a, b,
-                                     classes=classes)
+                    reduced = verify_witness_pair(g, a, b)
+                    full = unreduced(verify_witness_pair, g, a, b)
                     assert _witness_fields(reduced) == _witness_fields(full), \
                         (name, a, b)
 
     def test_m11_witness_reports_match_full_scan(self, group, unreduced):
         g = group("M11")
-        classes = conjugacy_classes(g)
         for a, b in ((2, 11), (3, 5), (2, 3)):
-            reduced = verify_witness_pair(g, a, b, classes=classes)
-            full = unreduced(verify_witness_pair, g, a, b, classes=classes)
+            reduced = verify_witness_pair(g, a, b)
+            full = unreduced(verify_witness_pair, g, a, b)
             assert _witness_fields(reduced) == _witness_fields(full), (a, b)
 
     def test_criterion_reports_match_full_scan(self, group, unreduced):
@@ -341,11 +344,10 @@ class TestOrbitReduction:
         # positions up to it may be tallied, not whole orbits
         for name, a, b in (("psl2:7", 4, 3), ("A7", 3, 7)):
             g = group(name)
-            classes = conjugacy_classes(g)
-            ys = [p.images for p in elements_of_order(g, b)]
+            elements, partition = _class_partition(g)
             judge = _CountingJudge(g)
-            reduced = _witness_report(judge, classes, a, b, ys)
-            full = unreduced(verify_witness_pair, g, a, b, classes=classes)
+            reduced = _witness_report(judge, elements, partition, a, b)
+            full = unreduced(verify_witness_pair, g, a, b)
             assert not reduced.verified
             assert 2 <= judge.judged <= reduced.pairs_checked
             assert _witness_fields(reduced) == _witness_fields(full), name
@@ -359,3 +361,25 @@ class TestOrbitReduction:
         assert report.pairs_checked == 2 * 17280
         assert report.orders() == {660, 7920, 95040}
         assert sum(report.outcome_orders.values()) == report.pairs_checked
+
+
+class TestOneEnumeration:
+    # every scan reads one class partition, so G is enumerated once per call
+    @pytest.mark.parametrize("name, scan", [
+        ("M11", lambda g: verify_witness_pair(g, 2, 11)),
+        ("A6", search_witness_pairs),
+        ("A6", check_criterion),
+        ("S4", check_criterion),
+    ], ids=["verify-M11", "search-A6", "criterion-A6", "criterion-S4"])
+    def test_scan_enumerates_group_once(self, group, monkeypatch, name, scan):
+        g = group(name)
+        iter_tuples = StabilizerChain.iter_tuples
+        calls = []
+
+        def counting(chain):
+            calls.append(chain)
+            return iter_tuples(chain)
+
+        monkeypatch.setattr(StabilizerChain, "iter_tuples", counting)
+        scan(g)
+        assert len(calls) == 1

@@ -1,8 +1,11 @@
 """Golden CLI output: the sha256 of stdout and the exit code of fast commands.
 
 The digests were recorded before the permutation kernel moved to
-``operator.itemgetter``; any change to the bytes a command prints fails
-here.  ``criterion --group A6`` exits 1 by design (A6 is not solvable).
+``operator.itemgetter``, and the refuted witness pairs and ``criterion
+--group S4`` before the scans moved to one class partition; any change to
+the bytes a command prints fails here.  ``criterion --group A6`` exits 1 by
+design (A6 is not solvable), and so do the two refuted pairs, whose
+counterexamples generate solvable subgroups of orders 24 and 21.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
 
@@ -53,6 +56,18 @@ GOLDEN = [
      "69cc3cb349fcdce1ed2f8cd2fa887ff510901422d6e53cb6ddd11e905b07a3ba"),
     ("criterion --group D2", "json", 0,
      "1dad5b836c92a6c28dd3f2bb020afe19782683469cedaab53689d8b6f6c6a18f"),
+    ("witness verify 4 3 --group psl2:7", "text", 1,
+     "d633087cd92c055462f49fb2b2e8860892ac41ae25a5073ad2a7c402dd8545db"),
+    ("witness verify 4 3 --group psl2:7", "json", 1,
+     "aa8a60a76d813ea09587dbe29c5d5462b7c091bd6f04df4a1e8d84fe28d598ab"),
+    ("witness verify 3 7 --group A7", "text", 1,
+     "4078a1954073dbbcdffa427faad2e20417b627c6ff64b10fb39491a5964d23e6"),
+    ("witness verify 3 7 --group A7", "json", 1,
+     "fae9d609ca64cf93a7a768a139513399e73a197f75d9e011adc5fe802ed59a02"),
+    ("criterion --group S4", "text", 0,
+     "0dcd85b6b5c09d90ccad86b1efbd49c0bf8a43add535a7e99ecfe3b002e5fc26"),
+    ("criterion --group S4", "json", 0,
+     "a32e766d7eb882e2f68fa253cd355440c2081d183b3f655bc0172a9dbed09937"),
 ]
 
 

@@ -13,6 +13,7 @@ from solvcrit.engine import (
 from solvcrit.permutation import Permutation, parse_cycles
 from solvcrit.structure import (
     _centralizer_tuples,
+    _class_partition,
     _solvability_tuples,
     conjugacy_classes,
     derived_subgroup,
@@ -186,6 +187,22 @@ class TestConjugacyClasses:
                [(c.order_of_elements, c.size, c.representative) for c in b]
         keys = [(c.order_of_elements, c.size) for c in a]
         assert keys == sorted(keys)
+
+
+class TestClassPartition:
+    @pytest.mark.parametrize("name", ["A6", "psl2:8", "M11"])
+    def test_merged_positions_are_elements_of_order(self, group, name):
+        # the witness scans take their y-lists from these merged positions
+        g = group(name)
+        elements, partition = _class_partition(g)
+        assert elements == [p.images for p in enumerate_elements(g)]
+        # positions[0] is the representative: the earliest member
+        assert all(ks == sorted(ks) for _order, ks in partition)
+        for b in order_spectrum(g).orders:
+            merged = sorted(k for order, ks in partition if order == b
+                            for k in ks)
+            assert [elements[k] for k in merged] == [
+                p.images for p in elements_of_order(g, b)], b
 
 
 class TestOrderSpectrum:
