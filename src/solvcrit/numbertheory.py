@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 VALUE_LIMIT = 2**96
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 2**16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
              41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -85,11 +85,16 @@ def _sieve_primes() -> list:
     return _small_primes
 
 
-def _pollard_rho(n: int) -> int:
+def _pollard_rho(n: int, power: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant).
 
-    The polynomial increments c = 1, 2, 3, ... are tried in order, so the
-    factor found for a given n never varies between runs.
+    The sequence is x -> x^power + c mod n, with c = 1, 2, 3, ... tried in
+    order, so the factor found for a given n never varies between runs.
+    Any factor found is a gcd with n, so ``power`` affects only the speed:
+    when every prime p of n is 1 mod power, the map x -> x^power has about
+    p/power images mod p and the walk closes its cycle about sqrt(power)
+    times sooner.  Brent and Pollard factored F8 this way, with
+    x^(2^10) + 1 (Math. Comp. 36 (1981) 627-630).
     """
     for c in range(1, 10_000):
         y, r, q = 2, 1, 1
@@ -98,36 +103,28 @@ def _pollard_rho(n: int) -> int:
         while g == 1:
             x = y
             for _ in range(r):
-                y = (y * y + c) % n
+                y = (pow(y, power, n) + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
                 for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    y = (pow(y, power, n) + c) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
         if g == n:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                ys = (pow(ys, power, n) + c) % n
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-def factorize(n: int) -> tuple:
-    """Prime factorization of n as a sorted multiset (tuple) of factors.
-
-    Trial division by the sieved primes up to 10^6 strips small factors
-    (stopping once ``is_prime`` accepts the cofactor); Pollard rho splits
-    the rest.  Factors above psi_13 (3.3e24) are strong probable primes.
-    """
-    if n < 2:
-        raise ValueError(f"cannot factor {n}; need n >= 2")
-    _check_range(n)
+def _factor(n: int, power: int) -> tuple:
+    # trial division by the sieved primes, then rho on x^power + c
     factors: list = []
     remaining = n
     for p in _sieve_primes():
@@ -147,16 +144,25 @@ def factorize(n: int) -> tuple:
             if is_prime(m):
                 factors.append(m)
                 continue
-            d = _pollard_rho(m)
+            d = _pollard_rho(m, power)
             stack.append(d)
             stack.append(m // d)
     factors.sort()
     return tuple(factors)
 
 
-def prime_factors(n: int) -> tuple:
-    """Distinct prime factors of n, sorted."""
-    return tuple(sorted(set(factorize(n))))
+def factorize(n: int) -> tuple:
+    """Prime factorization of n as a sorted multiset (tuple) of factors.
+
+    Trial division by the sieved primes below 2^16 strips small factors
+    (stopping once ``is_prime`` accepts the cofactor); Pollard rho on
+    x^2 + c splits the rest.  Factors above psi_13 (3.3e24) are strong
+    probable primes.
+    """
+    if n < 2:
+        raise ValueError(f"cannot factor {n}; need n >= 2")
+    _check_range(n)
+    return _factor(n, 2)
 
 
 @dataclass(frozen=True)
@@ -226,13 +232,16 @@ def _ppd_primes(base: int, e: int) -> tuple:
     Every such r divides the cyclotomic factor Phi_e(base) of base^e - 1,
     so only that (much smaller) factor is factorized; its other prime
     factors (at most the largest prime dividing e) fail the order filter.
+    Those primes and 2 lie below 2^16 (e < 96 here), so trial division
+    removes them first; every prime r left for rho has order e mod r, so
+    r is odd and 1 mod e, the shape that x^lcm(2, e) + c needs.
     """
     _check_range(base ** e - 1, f"{base}^{e} - 1")
     value = _cyclotomic(e, base)
     if value == 1:
         return ()
     out = []
-    for r in prime_factors(value):
+    for r in sorted(set(_factor(value, math.lcm(2, e)))):
         if all(pow(base, i, r) != 1 for i in range(1, e)):
             out.append(r)
     return tuple(out)

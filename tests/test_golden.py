@@ -1,9 +1,10 @@
 """Golden CLI output: the sha256 of stdout and the exit code of fast commands.
 
 The digests were recorded before the permutation kernel moved to
-``operator.itemgetter``, and the refuted witness pairs and ``criterion
---group S4`` before the scans moved to one class partition; any change to
-the bytes a command prints fails here.  ``criterion --group A6`` exits 1 by
+``operator.itemgetter``, the refuted witness pairs and ``criterion
+--group S4`` before the scans moved to one class partition, and ``ppd 43
+17`` and ``ppd 2 89`` before ``_ppd_primes`` moved to the shaped rho; any
+change to the bytes a command prints fails here.  ``criterion --group A6`` exits 1 by
 design (A6 is not solvable), and so do the two refuted pairs, whose
 counterexamples generate solvable subgroups of orders 24 and 21.
 Commands run in-process through ``cli.main`` to keep the set fast.
@@ -40,6 +41,18 @@ GOLDEN = [
      "e24b4a17c401c992eabfed80168f282094e12ea85034a789da478d14290d8b60"),
     ("ppd 2 96", "json", 0,
      "f891b94692fff9179f505ec877c8b14bfa9d433f3304fb5c460b3f669b14ffe2"),
+    ("ppd 43 17", "text", 0,
+     "486f601726494bd4127305218ca27a1101567fcea9ac0b9dfc9fd846201ef754"),
+    ("ppd 43 17", "json", 0,
+     "46ebc2b3c87e96a0f47236ba4a6466398182a50bf8243196dee800b4fd2a09e2"),
+    ("ppd 43 17 --basic --large", "text", 0,
+     "96a1ba4a12d4fe72dbe1ca86f29dc68d248d9f13aef530ff1804a71a2f9cda1f"),
+    ("ppd 43 17 --basic --large", "json", 0,
+     "751b6ce343e114ac9d3098aab58228e972ab28a1ade4a33b2bdd4527313cb27b"),
+    ("ppd 2 89", "text", 0,
+     "89ad29ce00bf05bf134572f9f2359278cddb4abf79b7ce487538de2d9f9486dd"),
+    ("ppd 2 89", "json", 0,
+     "0a31e154573f5e4fc3ca67879beeae2be321717af7664275529784b7289f7789"),
     ("classes --group C1", "text", 0,
      "fd7b7d28f7ca5f63b1b8745b42ee657a128f9d17cb1380678bfda03962ed3ede"),
     ("classes --group C1", "json", 0,

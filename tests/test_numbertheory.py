@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 import oracles
 from solvcrit.numbertheory import (
     LBPD_EMPTY_PAIRS,
+    TRIAL_DIVISION_BOUND,
     PrimePower,
     ValueOutOfRangeError,
+    _cyclotomic,
     _mobius,
+    _pollard_rho,
     _ppd_primes,
     alternating_pair,
     bppd,
@@ -79,6 +82,53 @@ class TestFactorize:
     @settings(max_examples=100)
     def test_agrees_with_trial_division(self, n):
         assert factorize(n) == oracles.trial_division_factorize(n)
+
+    # primes in (2^16, 10^6): above the trial-division bound, so their
+    # products and squares are split by rho
+    _rho_primes = st.integers(min_value=2**16, max_value=999_982).map(
+        sympy.nextprime)
+
+    @given(_rho_primes, _rho_primes)
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_sympy_above_trial_division(self, p, q):
+        for n in (p * q, p * p):
+            expected = sorted(r for r, m in sympy.factorint(n).items()
+                              for _ in range(m))
+            assert factorize(n) == tuple(expected)
+
+    @pytest.mark.parametrize("k", [22, 34, 94, 190])
+    def test_shaped_rho_splits_primes_one_mod_k(self, k):
+        # the cofactors _ppd_primes hands rho: primes 1 mod k just above
+        # the trial-division bound, where x^k has the fewest images
+        start = (TRIAL_DIVISION_BOUND // k + 1) * k + 1
+        primes = [p for p in range(start, 4 * start, k) if is_prime(p)][:12]
+        for i, p in enumerate(primes):
+            for q in primes[i:]:
+                assert _pollard_rho(p * q, k) in (p, q)
+
+    def test_cyclotomic_primes_off_the_shape_are_trial_divided(self):
+        # the primes of Phi_e(q) that are not 1 mod lcm(2, e) are 2 and
+        # primes dividing e, all below the bound, so rho only ever sees
+        # primes of the shape its power assumes
+        for q in range(2, 17):
+            for e in range(1, 25):
+                if q**e >= 2**96:
+                    break
+                value = _cyclotomic(e, q)
+                if value == 1:
+                    continue
+                k = math.lcm(2, e)
+                for r in set(factorize(value)):
+                    if r % k != 1:
+                        assert r == 2 or e % r == 0, (q, e, r)
+                        assert r < TRIAL_DIVISION_BOUND
+
+    def test_shaped_rho_on_base_two_skips_c_one(self):
+        # 2^11 = 1 mod Phi_11(2) = 2047 = 23 * 89, so x^22 + 1 fixes the
+        # start 2 and the walk for c = 1 never splits; c = 2 finds 23.  Every
+        # factor of Phi_e(2) fixes 2 alike, which costs one short batch
+        assert (pow(2, 22, 2047) + 1) % 2047 == 2
+        assert _pollard_rho(2047, 22) == 23
 
 
 class TestPrimePower:
