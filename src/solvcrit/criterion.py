@@ -16,9 +16,11 @@ C_G(x), since <x, y^c> = <x, y>^c for c in C_G(x).  Both scans run through
 one core, ``_PairJudge.first_solvable``, which judges one y per C_G(x)-orbit
 and tallies every scanned y with its orbit's verdict, so the reports are
 exactly those of a scan that judges every y.  Each scan reads one class
-partition, one enumeration of G.  Scans are deterministic (enumeration
-order, first hit wins).  The exhaustive recheck of a criterion
-counterexample judges every pair and relies on no equivariance.
+partition, one enumeration of G, and C_G(x) is generated by elements of
+that same list that commute with x, swept until their group has order
+|G| / |x^G|.  Scans are deterministic (enumeration order, first hit
+wins).  The exhaustive recheck of a criterion counterexample judges every
+pair and relies on no equivariance.
 
 Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
 solvable group, whose subgroups are all solvable, and a verdict's chain
@@ -33,7 +35,7 @@ from typing import Sequence
 
 from .engine import GroupHandle, StabilizerChain
 from .numbertheory import is_prime
-from .permutation import Permutation, _conjugators, _mult
+from .permutation import Permutation, _conjugators, _mult_by
 from .structure import (
     _centralizer_tuples,
     _class_partition,
@@ -107,16 +109,17 @@ class _PairJudge:
 
     <x, y>'s chain is bounded by |G|, so a pair generating G stops closing
     as soon as its order reaches |G|, and G's solvability is reused without
-    rerunning the derived series.  Centralizer generators are computed the
-    first time a scan needs them for an x, and kept.
+    rerunning the derived series.  ``elements`` is G as the scan lists it;
+    the first time a scan needs C_G(x), its generators are swept from that
+    list (``_centralizer_tuples``) and kept.
     """
 
-    __slots__ = ("degree", "gens", "parent_order", "parent_solvable",
+    __slots__ = ("degree", "elements", "parent_order", "parent_solvable",
                  "centralizers")
 
-    def __init__(self, group: GroupHandle):
+    def __init__(self, group: GroupHandle, elements: Sequence[tuple]):
         self.degree = group.degree
-        self.gens = group._gen_tuples
+        self.elements = elements
         self.parent_order = group.order()
         self.parent_solvable = is_solvable(group).solvable
         self.centralizers: dict = {}
@@ -128,49 +131,45 @@ class _PairJudge:
             return order, self.parent_solvable
         return order, _solvability_tuples((x, y), self.degree, order).solvable
 
-    def first_solvable(self, x: tuple, ys: Sequence[tuple],
-                       outcomes: Counter, orbits: bool = True) -> tuple | None:
+    def first_solvable(self, x: tuple, class_size: int, ys: Sequence[tuple],
+                       outcomes: Counter) -> tuple | None:
         """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
-        Every y on the way, the solvable one included, is tallied in
-        ``outcomes`` with its verdict, so the tally is that of judging each
-        y in turn.  With ``orbits``, ``ys`` must be closed under conjugation
-        by C_G(x): a nonsolvable verdict is given to the whole C_G(x)-orbit
-        of y, and later members of that orbit are tallied without being
-        judged again.  Without it, every y is judged.
+        ``class_size`` is |x^G|.  Every y on the way, the solvable one
+        included, is tallied in ``outcomes`` with its verdict, so the tally
+        is that of judging each y in turn.  A nonsolvable verdict is given
+        to the whole C_G(x)-orbit of y, and later members of that orbit are
+        tallied without being judged again.
         """
-        known = None  # per position in ys: its orbit's verdict, once judged
-        for k, y in enumerate(ys):
-            verdict = None if known is None else known[k]
+        known: dict = {}  # orbit member -> its orbit's verdict, once judged
+        for y in ys:
+            verdict = known.get(y)
             if verdict is None:
                 verdict = self.verdict(x, y)
-                if orbits and not verdict[1]:
-                    if known is None:
-                        known = [None] * len(ys)
-                        position = {t: i for i, t in enumerate(ys)}
-                    self._mark_orbit(x, k, verdict, ys, position, known)
+                if not verdict[1]:
+                    self._mark_orbit(x, class_size, y, verdict, known)
             outcomes[verdict] += 1
             if verdict[1]:
                 return y
         return None
 
-    def _mark_orbit(self, x: tuple, k: int, verdict: tuple,
-                    ys: Sequence[tuple], position: dict, known: list) -> None:
+    def _mark_orbit(self, x: tuple, class_size: int, y: tuple,
+                    verdict: tuple, known: dict) -> None:
         # <x, y^c> = <x, y>^c for c in C_G(x): one verdict per orbit
         conjugators = self.centralizers.get(x)
         if conjugators is None:
             conjugators = _conjugators(_centralizer_tuples(
-                self.gens, x, self.parent_order))
+                self.elements, x, self.parent_order // class_size))
             self.centralizers[x] = conjugators
-        known[k] = verdict
-        stack = [k]
+        known[y] = verdict
+        stack = [y]
         while stack:
-            z = ys[stack.pop()]
+            by_z = _mult_by(stack.pop())
             for c, by_c_inv in conjugators:
-                i = position[by_c_inv(_mult(z, c))]
-                if known[i] is None:
-                    known[i] = verdict
-                    stack.append(i)
+                w = by_c_inv(by_z(c))
+                if w not in known:
+                    known[w] = verdict
+                    stack.append(w)
 
 
 def check_criterion(group: GroupHandle) -> CriterionReport:
@@ -187,7 +186,8 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
     classes = conjugacy_classes(group)
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
                  for i, c in enumerate(classes))
-    judge = _PairJudge(group)
+    members = [[m.images for m in c.members] for c in classes]
+    judge = _PairJudge(group, [t for ys in members for t in ys])
     if judge.parent_solvable:
         witnesses = {(i, j): (c.representative, d.members[0])
                      for i, c in enumerate(classes)
@@ -197,14 +197,13 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
                                solvable_witnesses=witnesses,
                                subgroups_examined=len(witnesses))
 
-    members = [[m.images for m in c.members] for c in classes]
     witnesses = {}
     tally: Counter = Counter()
 
     for i, class_c in enumerate(classes):
         x = class_c.representative
         for j, ys in enumerate(members):
-            y = judge.first_solvable(x.images, ys, tally)
+            y = judge.first_solvable(x.images, class_c.size, ys, tally)
             if y is not None:
                 witnesses[(i, j)] = (x, Permutation._wrap(y))
                 continue
@@ -222,14 +221,13 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
                             ys: Sequence[tuple]) -> None:
     # Exhaustive confirmation over the full rectangle; the reduced scan's
     # soundness rests on conjugation equivariance, this rests on nothing,
-    # so it judges every pair without the orbit reduction.
-    unused_tally: Counter = Counter()
+    # so it judges every pair.
     for x in xs:
-        if judge.first_solvable(x, ys, unused_tally,
-                                orbits=False) is not None:
-            raise AssertionError(
-                "reduced scan missed a solvable pair; conjugation "
-                "equivariance violated (engine bug)")
+        for y in ys:
+            if judge.verdict(x, y)[1]:
+                raise AssertionError(
+                    "reduced scan missed a solvable pair; conjugation "
+                    "equivariance violated (engine bug)")
 
 
 def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
@@ -248,13 +246,14 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
         if m not in orders:
             raise OrderNotInSpectrumError(
                 f"no element of order {m} in the group")
-    return _witness_report(_PairJudge(group), elements, partition, a, b)
+    return _witness_report(_PairJudge(group, elements), partition, a, b)
 
 
-def _witness_report(judge: _PairJudge, elements: list, partition: list,
-                    a: int, b: int) -> WitnessReport:
+def _witness_report(judge: _PairJudge, partition: list, a: int,
+                    b: int) -> WitnessReport:
     # the scan behind verify_witness_pair and each search candidate; the
     # order-b classes' merged positions list order b in enumeration order
+    elements = judge.elements
     ys = [elements[k] for k in sorted(
         k for order, positions in partition if order == b for k in positions)]
     outcomes: Counter = Counter()
@@ -263,7 +262,7 @@ def _witness_report(judge: _PairJudge, elements: list, partition: list,
         if order != a:
             continue
         x = elements[positions[0]]
-        y = judge.first_solvable(x, ys, outcomes)
+        y = judge.first_solvable(x, len(positions), ys, outcomes)
         if y is not None:
             counterexample = (Permutation._wrap(x), Permutation._wrap(y))
             break
@@ -285,8 +284,8 @@ def search_witness_pairs(group: GroupHandle,
     """
     elements, partition = _class_partition(group)
     orders = sorted({order for order, _positions in partition})
-    judge = _PairJudge(group)
+    judge = _PairJudge(group, elements)
     return [(a, b) for i, a in enumerate(orders) for b in orders[i:]
             if not (restrict_to_primes
                     and (a == b or not is_prime(a) or not is_prime(b)))
-            and _witness_report(judge, elements, partition, a, b).verified]
+            and _witness_report(judge, partition, a, b).verified]

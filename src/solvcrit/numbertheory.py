@@ -181,16 +181,33 @@ class PrimePower:
 
     @classmethod
     def of(cls, q: int) -> "PrimePower":
-        """Parse an integer >= 2 as a prime power, or raise ValueError."""
+        """Parse an integer >= 2 as a prime power, or raise ValueError.
+
+        Nothing is factored: q = p^k exactly when the integer k-th root of
+        q, for some k with 2^k <= q, is prime and its k-th power is q.
+        """
         if q < 2:
             raise ValueError(f"{q} is not a prime power")
-        fs = factorize(q)
-        if len(set(fs)) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(fs[0], len(fs), q)
+        _check_range(q)
+        for k in range(1, q.bit_length()):
+            r = _integer_root(q, k)
+            if r ** k == q and is_prime(r):
+                return cls(r, k, q)
+        raise ValueError(f"{q} is not a prime power")
 
     def __str__(self) -> str:
         return str(self.q) if self.k == 1 else f"{self.p}^{self.k}"
+
+
+def _integer_root(n: int, k: int) -> int:
+    # floor(n^(1/k)) for n >= 1: Newton's method from 2^ceil(bits / k),
+    # which lies above the root, so the iterates fall to the floor
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _as_prime_power(q) -> PrimePower:
@@ -230,21 +247,20 @@ def _ppd_primes(base: int, e: int) -> tuple:
     """Primes r with r | base^e - 1 and r not dividing base^i - 1 for i < e.
 
     Every such r divides the cyclotomic factor Phi_e(base) of base^e - 1,
-    so only that (much smaller) factor is factorized; its other prime
-    factors (at most the largest prime dividing e) fail the order filter.
-    Those primes and 2 lie below 2^16 (e < 96 here), so trial division
-    removes them first; every prime r left for rho has order e mod r, so
-    r is odd and 1 mod e, the shape that x^lcm(2, e) + c needs.
+    so only that (much smaller) factor is factorized.  A prime r of
+    Phi_e(base) has order e / r^j mod r for some j >= 0, with j > 0 only
+    if r | e, while order e forces r = 1 mod e, so r does not divide e:
+    r is primitive exactly when r does not divide e.  The primes of e and
+    2 lie below 2^16 (e < 96 here), so trial division removes them first;
+    every prime r left for rho has order e mod r, so r is odd and 1 mod e,
+    the shape that x^lcm(2, e) + c needs.
     """
     _check_range(base ** e - 1, f"{base}^{e} - 1")
     value = _cyclotomic(e, base)
     if value == 1:
         return ()
-    out = []
-    for r in sorted(set(_factor(value, math.lcm(2, e)))):
-        if all(pow(base, i, r) != 1 for i in range(1, e)):
-            out.append(r)
-    return tuple(out)
+    return tuple(r for r in sorted(set(_factor(value, math.lcm(2, e))))
+                 if e % r)
 
 
 def ppd(q, e: int) -> DivisorSet:

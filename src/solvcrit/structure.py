@@ -17,6 +17,7 @@ from .permutation import (
     _conjugators,
     _inv,
     _mult,
+    _mult_by,
     _tuple_order,
 )
 
@@ -77,45 +78,27 @@ def _commutator_tuples(gens: Sequence[tuple], degree: int) -> list[tuple]:
     return out
 
 
-def _centralizer_tuples(gen_tuples: Sequence[tuple], x: tuple,
-                        group_order: int) -> list[tuple]:
+def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
+                        order: int) -> list[tuple]:
     """Generators of the centralizer C_G(x), as image tuples.
 
-    A breadth-first search of x's class under G's generators records, for
-    each member c, a conjugator t_c with x^(t_c) = c and its inverse (for
-    c = d^g, t_c = t_d g has inverse g^-1 t_d^-1).  By Schreier's lemma
-    the elements t_c g t_(c^g)^-1 generate C_G(x); each one that enlarges
-    the chain built so far is kept, until the chain's order reaches
-    |G| / |class|.
+    ``elements`` lists all of G, and ``order`` is |C_G(x)| = |G| / |x^G|
+    (orbit-stabilizer).  The sweep keeps each element that commutes with x
+    and lies outside the chain built so far, until the chain's order
+    reaches ``order``; every generator is checked to commute with x.
     """
-    conjugators = _conjugators(gen_tuples)
-    identity = tuple(range(len(x)))
-    transversal = {x: (identity, identity)}
-    frontier = [x]
-    while frontier:
-        new_frontier = []
-        for c in frontier:
-            t, t_inv = transversal[c]
-            for g, by_g_inv in conjugators:
-                d = by_g_inv(_mult(c, g))
-                if d not in transversal:
-                    transversal[d] = (_mult(t, g), by_g_inv(t_inv))
-                    new_frontier.append(d)
-        frontier = new_frontier
-
-    target = group_order // len(transversal)
+    by_x = _mult_by(x)
     chain = StabilizerChain(len(x))
     gens: list[tuple] = []
-    for c, (t, _t_inv) in transversal.items():
-        for g, by_g_inv in conjugators:
-            if chain.order() == target:
-                return gens
-            back_inv = transversal[by_g_inv(_mult(c, g))][1]
-            schreier = _mult(_mult(t, g), back_inv)
-            if not chain.contains_tuple(schreier):
-                chain.extend([schreier])
-                gens.append(schreier)
-    if chain.order() != target:
+    reached = 1
+    for g in elements:
+        if reached == order:
+            return gens
+        if by_x(g) == _mult(g, x) and not chain.contains_tuple(g):
+            chain.extend([g], bound=order)
+            gens.append(g)
+            reached = chain.order()
+    if reached != order:
         raise AssertionError(
             "centralizer order differs from |G| / |class| (builder bug)")
     return gens

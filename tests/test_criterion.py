@@ -94,12 +94,13 @@ class TestSolvableParentShortcut:
         cases.append(_agl1(31, 3))
         for g in cases:
             classes = conjugacy_classes(g)
-            judge = _PairJudge(g)
+            judge = _PairJudge(g, [m.images for c in classes
+                                   for m in c.members])
             witnesses, examined = {}, 0
             for i, c in enumerate(classes):
                 for j, d in enumerate(classes):
                     tally = Counter()
-                    y = judge.first_solvable(c.representative.images,
+                    y = judge.first_solvable(c.representative.images, c.size,
                                              [m.images for m in d.members],
                                              tally)
                     witnesses[i, j] = (c.representative, Permutation(y))
@@ -216,7 +217,7 @@ class TestVerdicts:
             g = group(name)
             elems = list(enumerate_elements(g))
             rng = random.Random(seed)
-            judge = _PairJudge(g)
+            judge = _PairJudge(g, [p.images for p in elems])
             pairs = [(rng.choice(elems).images, rng.choice(elems).images)
                      for _ in range(count)]
             solvable = {}  # one brute-force series per distinct subgroup
@@ -279,24 +280,29 @@ class TestScanCore:
 
 
 class _CountingJudge(_PairJudge):
-    """The scan core, counting the subgroups it judges."""
+    """The scan core, recording the pairs it judges in order."""
 
     __slots__ = ("judged",)
 
-    def __init__(self, group):
-        super().__init__(group)
-        self.judged = 0
+    def __init__(self, group, elements):
+        super().__init__(group, elements)
+        self.judged = []
 
     def verdict(self, x, y):
-        self.judged += 1
+        self.judged.append((x, y))
         return super().verdict(x, y)
 
 
 class _UnreducedJudge(_PairJudge):
-    """The same scan core with the orbit reduction off: every y is judged."""
+    """The scan core with no orbit reduction: every y is judged."""
 
-    def first_solvable(self, x, ys, outcomes, orbits=True):
-        return super().first_solvable(x, ys, outcomes, orbits=False)
+    def first_solvable(self, x, class_size, ys, outcomes):
+        for y in ys:
+            verdict = self.verdict(x, y)
+            outcomes[verdict] += 1
+            if verdict[1]:
+                return y
+        return None
 
 
 def _witness_fields(report):
@@ -345,11 +351,11 @@ class TestOrbitReduction:
         for name, a, b in (("psl2:7", 4, 3), ("A7", 3, 7)):
             g = group(name)
             elements, partition = _class_partition(g)
-            judge = _CountingJudge(g)
-            reduced = _witness_report(judge, elements, partition, a, b)
+            judge = _CountingJudge(g, elements)
+            reduced = _witness_report(judge, partition, a, b)
             full = unreduced(verify_witness_pair, g, a, b)
             assert not reduced.verified
-            assert 2 <= judge.judged <= reduced.pairs_checked
+            assert 2 <= len(judge.judged) <= reduced.pairs_checked
             assert _witness_fields(reduced) == _witness_fields(full), name
 
     def test_m12_2_11_full_scan_counts(self, group):
@@ -361,6 +367,50 @@ class TestOrbitReduction:
         assert report.pairs_checked == 2 * 17280
         assert report.orders() == {660, 7920, 95040}
         assert sum(report.outcome_orders.values()) == report.pairs_checked
+
+
+class _PlantedJudge(_PairJudge):
+    """Calls (x, y) solvable when x is in ``planted``: class members other
+    than the representative, which the reduced scan never takes as x."""
+
+    planted = frozenset()
+
+    def verdict(self, x, y):
+        order, solvable = super().verdict(x, y)
+        return order, solvable or x in self.planted
+
+
+class TestRecheck:
+    def test_recheck_catches_what_the_reduced_scan_cannot_see(
+            self, group, monkeypatch):
+        g = group("A5")
+        report = check_criterion(g)
+        c = conjugacy_classes(g)[report.counterexample[0].index]
+        planted = frozenset(m.images for m in c.members[1:])
+        monkeypatch.setattr(_PlantedJudge, "planted", planted)
+        monkeypatch.setattr(criterion, "_PairJudge", _PlantedJudge)
+        with pytest.raises(AssertionError, match="reduced scan missed"):
+            check_criterion(g)
+
+    def test_recheck_judges_the_full_rectangle(self, group, monkeypatch):
+        recheck = criterion._recheck_counterexample
+        rechecked = []
+
+        def spy(judge, xs, ys):
+            before = len(judge.judged)
+            recheck(judge, xs, ys)
+            rechecked.append(judge.judged[before:])
+
+        monkeypatch.setattr(criterion, "_PairJudge", _CountingJudge)
+        monkeypatch.setattr(criterion, "_recheck_counterexample", spy)
+        for name in ("A5", "A6"):
+            g = group(name)
+            report = check_criterion(g)
+            classes = conjugacy_classes(g)
+            xs, ys = ([m.images for m in classes[ref.index].members]
+                      for ref in report.counterexample)
+            assert rechecked.pop() == [(x, y) for x in xs for y in ys], name
+            assert not rechecked
 
 
 class TestOneEnumeration:

@@ -3,9 +3,11 @@
 The digests were recorded before the permutation kernel moved to
 ``operator.itemgetter``, the refuted witness pairs and ``criterion
 --group S4`` before the scans moved to one class partition, and ``ppd 43
-17`` and ``ppd 2 89`` before ``_ppd_primes`` moved to the shaped rho; any
-change to the bytes a command prints fails here.  ``criterion --group A6`` exits 1 by
-design (A6 is not solvable), and so do the two refuted pairs, whose
+17`` and ``ppd 2 89`` before ``_ppd_primes`` moved to the shaped rho, and
+the M12, psl2:11 and M11 scans before centralizers were swept from the
+scan's element list; any change to the bytes a command prints fails here.
+``criterion --group A6`` and ``criterion --group psl2:11`` exit 1 by
+design (neither group is solvable), and so do the two refuted pairs, whose
 counterexamples generate solvable subgroups of orders 24 and 21.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
@@ -81,6 +83,12 @@ GOLDEN = [
      "0dcd85b6b5c09d90ccad86b1efbd49c0bf8a43add535a7e99ecfe3b002e5fc26"),
     ("criterion --group S4", "json", 0,
      "a32e766d7eb882e2f68fa253cd355440c2081d183b3f655bc0172a9dbed09937"),
+    ("witness verify 2 11 --group M12", "json", 0,
+     "16daff72f784586e58e1289134fe9337036ccc920b2b262babff814d3dbe5c07"),
+    ("criterion --group psl2:11", "text", 1,
+     "22ae013cb25caba2e0bcdf34ce5c31b8a75870c800d1a09be521d3f76e4c1ecc"),
+    ("witness search --group M11 --primes", "text", 0,
+     "681895b5c3654e7f6e7f12510445cdd65bd6cd9550037eb0dcb39ad5f2e008f3"),
 ]
 
 

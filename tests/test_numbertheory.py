@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from solvcrit import numbertheory
 from solvcrit.numbertheory import (
     LBPD_EMPTY_PAIRS,
     TRIAL_DIVISION_BOUND,
@@ -140,6 +141,31 @@ class TestPrimePower:
         for bad in (1, 6, 12, 100):
             with pytest.raises(ValueError):
                 PrimePower.of(bad)
+
+    def test_parse_factors_nothing(self, monkeypatch):
+        # q = p^k is read off the exact integer k-th roots of q, so rho is
+        # never reached, even for a balanced semiprime near 2^89
+        def no_rho(n, power):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(numbertheory, "_pollard_rho", no_rho)
+        for p, k in ((2, 95), (3, 59), (2**31 - 1, 3), (2**89 - 1, 1),
+                     (1_000_003, 4), (65_537, 5), (7, 1)):
+            pp = PrimePower.of(p**k)
+            assert (pp.p, pp.k, pp.q) == (p, k, p**k)
+        semiprime = (2**44 + 7) * (2**45 + 12_435)
+        assert semiprime == 618970019861695261516583941
+        with pytest.raises(ValueError, match="is not a prime power"):
+            PrimePower.of(semiprime)
+        for bad in ((2**31 - 1)**2 * 2, 2**94 * 3, 6**37):
+            with pytest.raises(ValueError, match="is not a prime power"):
+                PrimePower.of(bad)
+
+    def test_out_of_range_keeps_its_message(self):
+        message = f"value {2**96} is not below 2**96; refusing to factor"
+        with pytest.raises(ValueOutOfRangeError) as raised:
+            PrimePower.of(2**96)
+        assert str(raised.value) == message
 
     def test_rejects_inconsistent_fields(self):
         with pytest.raises(ValueError):

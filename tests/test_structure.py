@@ -277,13 +277,23 @@ class TestCentralizer:
         cases = [(name, group(name)) for name in names]
         cases.append(("AGL(1,31)", _agl1(31, 3)))
         for name, g in cases:
+            elements = [p.images for p in enumerate_elements(g)]
             for c in conjugacy_classes(g):
                 x = c.representative.images
-                gens = _centralizer_tuples(g._gen_tuples, x, g.order())
+                gens = _centralizer_tuples(elements, x, g.order() // c.size)
                 for h in gens:
                     assert oracles.mult(h, x) == oracles.mult(x, h), name
                 closure = oracles.closure(gens, g.degree)
                 assert len(closure) == g.order() // c.size, (name, c)
+
+    def test_sweep_that_ends_short_raises(self, group):
+        # an order above |C_G(x)| is never reached by elements commuting
+        # with x, and the sweep says so instead of returning
+        g = group("A5")
+        elements = [p.images for p in enumerate_elements(g)]
+        x = parse_cycles("(1 2 3)", 5).images
+        with pytest.raises(AssertionError, match="centralizer order"):
+            _centralizer_tuples(elements, x, g.order())
 
 
 SMALL_DEGREE_GROUPS = {
@@ -317,9 +327,10 @@ class TestSmallDegrees:
 
     def test_centralizer(self, name):
         g, elements = self._setup(name)
+        listed = [p.images for p in enumerate_elements(g)]
         for c in conjugacy_classes(g):
             x = c.representative.images
-            gens = _centralizer_tuples(g._gen_tuples, x, g.order())
+            gens = _centralizer_tuples(listed, x, g.order() // c.size)
             expected = {h for h in elements
                         if oracles.mult(h, x) == oracles.mult(x, h)}
             assert oracles.closure(gens, g.degree) == expected
