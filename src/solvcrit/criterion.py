@@ -12,15 +12,20 @@ Both reduce the pair scan by conjugation equivariance: <x, y> and
 <x^g, y^g> are conjugate, hence share order and solvability.  So one side
 of the scan is fixed to class representatives, and with x fixed, the
 verdict is constant on the orbits of y under conjugation by the centralizer
-C_G(x), since <x, y^c> = <x, y>^c for c in C_G(x).  Both scans run through
-one core, ``_PairJudge.first_solvable``, which judges one y per C_G(x)-orbit
-and tallies every scanned y with its orbit's verdict, so the reports are
-exactly those of a scan that judges every y.  Each scan reads one class
-partition, one enumeration of G, and C_G(x) is generated by elements of
-that same list that commute with x, swept until their group has order
-|G| / |x^G|.  Scans are deterministic (enumeration order, first hit
-wins).  The exhaustive recheck of a criterion counterexample judges every
-pair and relies on no equivariance.
+C_G(x), since <x, y^c> = <x, y>^c for c in C_G(x).  It is also constant on
+the generators of <y>: <x, y^k> = <x, y> when k is coprime to |y|, and
+(y^c)^k = (y^k)^c, so an orbit closed under both maps is one verdict.
+Both scans run through one core, ``_PairJudge.first_solvable``, which
+judges one y per such orbit and tallies every scanned y with its orbit's
+verdict, so the reports are exactly those of a scan that judges every y.
+Each scan reads one class partition, one enumeration of G, and C_G(x) is
+generated by elements of that same list that commute with x, swept until
+their group has order |G| / |x^G|.  Scans are deterministic (enumeration
+order, first hit wins).  The exhaustive recheck of a criterion
+counterexample judges every distinct subgroup <x, y> with (x, y) in the
+C x D rectangle.  It relies on no equivariance, only on the power
+identity <x^j, y^k> = <x, y> for j, k coprime to |x|, |y|: it judges one
+pair per (<x>, <y>).
 
 Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
 solvable group, whose subgroups are all solvable, and a verdict's chain
@@ -29,6 +34,7 @@ stops closing at |G|, which proves <x, y> = G (see ``StabilizerChain``).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -69,8 +75,8 @@ class CriterionReport:
     When ``holds``, ``solvable_witnesses`` maps every ordered class-index
     pair to one witnessing (x, y).  When it fails, ``counterexample`` names
     the first ordered pair (C, D) for which no x in C, y in D generate a
-    solvable subgroup; the verdict is confirmed by an exhaustive scan of the
-    full C x D rectangle, not just the reduced one.
+    solvable subgroup; the verdict is confirmed by an exhaustive scan of
+    every subgroup <x, y> of the C x D rectangle, not just the reduced one.
     """
 
     holds: bool
@@ -138,8 +144,8 @@ class _PairJudge:
         ``class_size`` is |x^G|.  Every y on the way, the solvable one
         included, is tallied in ``outcomes`` with its verdict, so the tally
         is that of judging each y in turn.  A nonsolvable verdict is given
-        to the whole C_G(x)-orbit of y, and later members of that orbit are
-        tallied without being judged again.
+        to the whole orbit of y under C_G(x) and coprime powers, and later
+        members of that orbit are tallied without being judged again.
         """
         known: dict = {}  # orbit member -> its orbit's verdict, once judged
         for y in ys:
@@ -155,14 +161,18 @@ class _PairJudge:
 
     def _mark_orbit(self, x: tuple, class_size: int, y: tuple,
                     verdict: tuple, known: dict) -> None:
-        # <x, y^c> = <x, y>^c for c in C_G(x): one verdict per orbit
+        # <x, y^c> = <x, y>^c for c in C_G(x), and <x, y^k> = <x, y> for k
+        # coprime to |y|: one verdict per orbit.  The coprime powers are
+        # marked first; since (y^c)^k = (y^k)^c, their C_G(x)-orbits close
+        # the marked set under both maps.
         conjugators = self.centralizers.get(x)
         if conjugators is None:
             conjugators = _conjugators(_centralizer_tuples(
                 self.elements, x, self.parent_order // class_size))
             self.centralizers[x] = conjugators
-        known[y] = verdict
-        stack = [y]
+        stack = [y, *_coprime_powers(y)]
+        for z in stack:
+            known[z] = verdict
         while stack:
             by_z = _mult_by(stack.pop())
             for c, by_c_inv in conjugators:
@@ -178,10 +188,11 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
     In a solvable group every subgroup is solvable, so each witness is (C's
     representative, D's first member), and nothing is judged.  Otherwise x
     is C's representative and y ranges over D in enumeration order (sound
-    by conjugation equivariance), one y judged per C_G(x)-orbit;
-    ``subgroups_examined`` counts every y scanned.  The first failing pair
-    is rechecked exhaustively over all of C x D, every pair judged with no
-    orbit reduction, and reported as the counterexample.
+    by conjugation equivariance), one y judged per orbit of C_G(x) and of
+    coprime powers; ``subgroups_examined`` counts every y scanned.  The
+    first failing pair is rechecked exhaustively over C x D, one pair
+    judged per (<x>, <y>) and no conjugation used, and reported as the
+    counterexample.
     """
     classes = conjugacy_classes(group)
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
@@ -219,15 +230,47 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
 
 def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
                             ys: Sequence[tuple]) -> None:
-    # Exhaustive confirmation over the full rectangle; the reduced scan's
-    # soundness rests on conjugation equivariance, this rests on nothing,
-    # so it judges every pair.
-    for x in xs:
+    """Confirm that no (x, y) in ``xs`` x ``ys`` generates solvably.
+
+    The reduced scan's soundness rests on conjugation equivariance; this
+    recheck uses no conjugation.  Its one assumption is the power identity
+    <x^j, y^k> = <x, y> for j coprime to |x| and k coprime to |y|, so it
+    skips each member that is a coprime power of an earlier member of its
+    own class and judges every remaining pair: every distinct subgroup
+    <x, y> of the rectangle is still judged.
+    """
+    ys = _cyclic_representatives(ys)
+    for x in _cyclic_representatives(xs):
         for y in ys:
             if judge.verdict(x, y)[1]:
                 raise AssertionError(
                     "reduced scan missed a solvable pair; conjugation "
-                    "equivariance violated (engine bug)")
+                    "equivariance or the power identity violated "
+                    "(engine bug)")
+
+
+def _cyclic_representatives(members: Sequence[tuple]) -> list:
+    # the members, in order, that are no coprime power of an earlier one
+    # (coprime powers of a skipped member are coprime powers of a kept one)
+    powers: set = set()
+    kept = []
+    for z in members:
+        if z not in powers:
+            kept.append(z)
+            powers.update(_coprime_powers(z))
+    return kept
+
+
+def _coprime_powers(y: tuple) -> list:
+    """y^k for 1 < k < |y| with gcd(k, |y|) = 1, in increasing k."""
+    by_y = _mult_by(y)
+    identity = tuple(range(len(y)))
+    powers = [y]  # y^1, ..., y^|y| = identity
+    while powers[-1] != identity:
+        powers.append(by_y(powers[-1]))
+    order = len(powers)
+    return [p for k, p in enumerate(powers[1:-1], start=2)
+            if math.gcd(k, order) == 1]
 
 
 def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
@@ -235,10 +278,10 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
 
     The scan pairs each conjugacy-class representative x of order ``a`` with
     the elements of order ``b`` in enumeration order (sound by conjugation
-    equivariance), judges one y per C_G(x)-orbit and stops at the first
-    solvable subgroup found.  ``outcome_orders`` and ``pairs_checked`` count
-    every y scanned with its orbit's verdict, so they equal those of a scan
-    that judges each pair.
+    equivariance), judges one y per orbit of C_G(x) and of coprime powers,
+    and stops at the first solvable subgroup found.  ``outcome_orders`` and
+    ``pairs_checked`` count every y scanned with its orbit's verdict, so
+    they equal those of a scan that judges each pair.
     """
     elements, partition = _class_partition(group)
     orders = {order for order, _positions in partition}

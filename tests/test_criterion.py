@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from solvcrit.criterion import (
     CriterionReport,
     OrderNotInSpectrumError,
     _PairJudge,
+    _coprime_powers,
     _witness_report,
     check_criterion,
     search_witness_pairs,
@@ -341,7 +343,9 @@ class TestOrbitReduction:
             assert _witness_fields(reduced) == _witness_fields(full), (a, b)
 
     def test_criterion_reports_match_full_scan(self, group, unreduced):
-        for name in ("S4", "A5", "A6", "psl2:7"):
+        # psl2:8 and psl2:11 have coprime powers of y outside y's class:
+        # in psl2:11, non-residue powers swap 11A and 11B
+        for name in ("S4", "A5", "A6", "psl2:7", "psl2:8", "psl2:11"):
             g = group(name)
             assert check_criterion(g) == unreduced(check_criterion, g), name
 
@@ -357,6 +361,23 @@ class TestOrbitReduction:
             assert not reduced.verified
             assert 2 <= len(judge.judged) <= reduced.pairs_checked
             assert _witness_fields(reduced) == _witness_fields(full), name
+
+    def test_verdict_counts(self, group, monkeypatch):
+        # one verdict per orbit of C_G(x) and of coprime powers of y
+        g = group("M12")
+        elements, partition = _class_partition(g)
+        judge = _CountingJudge(g, elements)
+        assert _witness_report(judge, partition, 2, 11).verified
+        assert len(judge.judged) <= 20
+        judges = []
+
+        def counting(*args):
+            judges.append(_CountingJudge(*args))
+            return judges[-1]
+
+        monkeypatch.setattr(criterion, "_PairJudge", counting)
+        check_criterion(group("A6"))
+        assert [len(j.judged) for j in judges] == [759]
 
     def test_m12_2_11_full_scan_counts(self, group):
         # ATLAS: M12 has two classes of involutions (2A, 2B) and two classes
@@ -392,7 +413,8 @@ class TestRecheck:
         with pytest.raises(AssertionError, match="reduced scan missed"):
             check_criterion(g)
 
-    def test_recheck_judges_the_full_rectangle(self, group, monkeypatch):
+    def test_recheck_judges_one_pair_per_cyclic_pair(self, group,
+                                                     monkeypatch):
         recheck = criterion._recheck_counterexample
         rechecked = []
 
@@ -401,16 +423,63 @@ class TestRecheck:
             recheck(judge, xs, ys)
             rechecked.append(judge.judged[before:])
 
+        def first_generators(members):
+            # members in order, skipping coprime powers of earlier ones
+            kept, powers = [], set()
+            for m in members:
+                if m not in powers:
+                    kept.append(m)
+                    n = m.order()
+                    powers.update(m ** k for k in range(1, n)
+                                  if math.gcd(k, n) == 1)
+            return [m.images for m in kept]
+
+        cyclic = {}
+
+        def cyclic_of(z):
+            if z not in cyclic:
+                cyclic[z] = frozenset(oracles.closure([z], len(z)))
+            return cyclic[z]
+
         monkeypatch.setattr(criterion, "_PairJudge", _CountingJudge)
         monkeypatch.setattr(criterion, "_recheck_counterexample", spy)
-        for name in ("A5", "A6"):
+        # A5: 3-cycles are real, so 20 / 2; 5A's squares lie in 5B and its
+        # fourth powers in 5A, so 12 / 2.  A6: 40 / 2 and 72 / 2.
+        for name, count in (("A5", 10 * 6), ("A6", 20 * 36)):
             g = group(name)
             report = check_criterion(g)
             classes = conjugacy_classes(g)
-            xs, ys = ([m.images for m in classes[ref.index].members]
-                      for ref in report.counterexample)
-            assert rechecked.pop() == [(x, y) for x in xs for y in ys], name
+            c, d = (classes[ref.index].members
+                    for ref in report.counterexample)
+            judged = rechecked.pop()
             assert not rechecked
+            assert judged == [(x, y) for x in first_generators(c)
+                              for y in first_generators(d)], name
+            assert len(judged) == count, name
+            # every pair of the rectangle shares <x> and <y> with exactly
+            # one judged pair
+            covered = {(cyclic_of(x), cyclic_of(y)) for x, y in judged}
+            assert len(covered) == len(judged), name
+            assert covered == {(cyclic_of(x.images), cyclic_of(y.images))
+                               for x in c for y in d}, name
+
+
+class TestCoprimePowers:
+    def test_matches_permutation_powers(self, group):
+        cases = [p.images for p in enumerate_elements(group("A6"))]
+        cases += [c.representative.images
+                  for c in conjugacy_classes(group("M11"))]
+        orders = set()
+        for y in cases:
+            p = Permutation(y)
+            n = p.order()
+            orders.add(n)
+            expected = [(p ** k).images for k in range(2, n)
+                        if math.gcd(k, n) == 1]
+            assert _coprime_powers(y) == expected, p
+            if n <= 2:
+                assert _coprime_powers(y) == [], p
+        assert {1, 2, 4, 5, 8, 11} <= orders
 
 
 class TestOneEnumeration:
