@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -239,12 +240,18 @@ class StabilizerChain:
 
 @dataclass(frozen=True, eq=False)
 class GroupHandle:
-    """An immutable permutation group: generators plus an eagerly built chain."""
+    """An immutable permutation group: generators plus an eagerly built chain.
+
+    ``_orders`` holds each element's order, in enumeration order, once a
+    spectrum, order query or class partition has computed it; see
+    :func:`solvcrit.structure._order_index`.
+    """
 
     generators: tuple
     chain: StabilizerChain
     label: str | None = None
     _gen_tuples: tuple = field(init=False, repr=False)
+    _orders: array | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_gen_tuples",
@@ -284,11 +291,11 @@ def build_group(generators: Sequence[Permutation],
     return GroupHandle(gens, chain, label)
 
 
-def _element_tuples(group: GroupHandle) -> Iterator[tuple]:
-    """Every element's image tuple, exactly once, in enumeration order.
+def _check_cap(group: GroupHandle) -> None:
+    """Raise EnumerationCapExceeded if the group is above the cap.
 
-    This is the one place the enumeration cap is enforced: it raises
-    before anything is enumerated.
+    Every query that reads the group element by element calls this, also
+    when it is served from the handle's order index.
     """
     order = group.order()
     limit = enumeration_cap()
@@ -296,6 +303,14 @@ def _element_tuples(group: GroupHandle) -> Iterator[tuple]:
         raise EnumerationCapExceeded(
             f"group order {order} exceeds enumeration cap {limit}; "
             f"raise {ENUM_CAP_ENV} or use class-based algorithms")
+
+
+def _element_tuples(group: GroupHandle) -> Iterator[tuple]:
+    """Every element's image tuple, exactly once, in enumeration order.
+
+    The cap is checked before anything is enumerated.
+    """
+    _check_cap(group)
     return group.chain.iter_tuples()
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .engine import (
     GroupHandle,
     StabilizerChain,
+    _check_cap,
     _element_tuples,
     _normal_closure_tuples,
     normal_closure,
@@ -133,11 +136,39 @@ def is_solvable(group: GroupHandle) -> SolvabilityResult:
     return _solvability_tuples(group._gen_tuples, group.degree, group.order())
 
 
+# typecode of the order index: element orders divide |G|, so an order
+# past 2**32 needs a group of over four billion elements to enumerate,
+# and array raises OverflowError rather than wrap
+_ORDER_TYPECODE = "I"
+
+
+def _order_index(group: GroupHandle) -> array:
+    """Each element's order, in enumeration order.
+
+    Built once per handle, by one ``_tuple_order`` sweep or by
+    ``_class_partition``, whichever runs first; the cap is checked on
+    every call.
+    """
+    index = group._orders
+    if index is None:
+        index = array(_ORDER_TYPECODE,
+                      map(_tuple_order, _element_tuples(group)))
+        object.__setattr__(group, "_orders", index)
+    else:
+        _check_cap(group)
+    return index
+
+
 def _class_partition(group: GroupHandle) -> tuple[list, list]:
     """Element tuples in enumeration order, and the conjugacy classes in
     ``conjugacy_classes`` order as (element order, sorted member positions).
+
+    A class's order is read from the group's order index, or, before the
+    index exists, computed from its first member and written into the
+    index at every member's position.
     """
     elements = list(_element_tuples(group))
+    index = group._orders
     position = {t: i for i, t in enumerate(elements)}
     conjugators = _conjugators(group._gen_tuples)
 
@@ -161,7 +192,14 @@ def _class_partition(group: GroupHandle) -> tuple[list, list]:
                         new_frontier.append(c)
             frontier = new_frontier
         members_idx.sort()
-        raw_classes.append((_tuple_order(start), members_idx))
+        raw_classes.append((_tuple_order(start) if index is None
+                            else index[i], members_idx))
+    if index is None:
+        index = array(_ORDER_TYPECODE, [0]) * len(elements)
+        for elt_order, members_idx in raw_classes:
+            for j in members_idx:
+                index[j] = elt_order
+        object.__setattr__(group, "_orders", index)
     raw_classes.sort(key=lambda c: (c[0], len(c[1]), c[1][0]))
     return elements, raw_classes
 
@@ -184,9 +222,7 @@ def conjugacy_classes(group: GroupHandle) -> list:
 
 def order_spectrum(group: GroupHandle) -> OrderSpectrum:
     """oe(G): the exact set of element orders of the group."""
-    orders = set()
-    for t in _element_tuples(group):
-        orders.add(_tuple_order(t))
+    orders = set(_order_index(group))
     return OrderSpectrum(tuple(sorted(orders)), group.order())
 
 
@@ -194,5 +230,7 @@ def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order."""
     if m < 1:
         raise ValueError("order must be positive")
-    return (Permutation._wrap(t) for t in _element_tuples(group)
-            if _tuple_order(t) == m)
+    index = _order_index(group)
+    # a generator, so the enumeration runs as the caller iterates
+    return (Permutation._wrap(t) for t in compress(
+        _element_tuples(group), (elt_order == m for elt_order in index)))

@@ -1,8 +1,11 @@
 import random
+from types import GeneratorType
 
 import pytest
 
 import oracles
+from solvcrit import structure
+from solvcrit.catalog import catalog_group
 from solvcrit.engine import (
     EnumerationCapExceeded,
     GroupHandle,
@@ -10,7 +13,7 @@ from solvcrit.engine import (
     enumerate_elements,
     normal_closure,
 )
-from solvcrit.permutation import Permutation, parse_cycles
+from solvcrit.permutation import Permutation, _tuple_order, parse_cycles
 from solvcrit.structure import (
     _centralizer_tuples,
     _class_partition,
@@ -259,6 +262,99 @@ class TestElementsOfOrder:
         monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
         with pytest.raises(EnumerationCapExceeded):
             elements_of_order(group("A5"), 5)
+
+
+# C300 has element orders >= 256, past any one-byte index entry
+INDEX_GROUPS = ["A6", "psl2:8", "M11", "S5", "C300"]
+
+
+def _brute_orders(g):
+    """(element, order) over the enumeration, outside the order index."""
+    return [(p, _tuple_order(p.images)) for p in enumerate_elements(g)]
+
+
+def _count_order_calls(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(1)
+        return _tuple_order(t)
+
+    monkeypatch.setattr(structure, "_tuple_order", counting)
+    return calls
+
+
+class TestOrderIndex:
+    """The spectrum and every order query read one per-handle order index."""
+
+    @pytest.mark.parametrize("spectrum_first", [True, False],
+                             ids=["spectrum-first", "elements-first"])
+    @pytest.mark.parametrize("seeded", [False, True],
+                             ids=["fresh", "after-classes"])
+    @pytest.mark.parametrize("name", INDEX_GROUPS)
+    def test_matches_brute_filter(self, name, seeded, spectrum_first):
+        g = catalog_group(name)
+        if seeded:
+            conjugacy_classes(g)
+        brute = _brute_orders(g)
+        spectrum = tuple(sorted({o for _p, o in brute}))
+
+        def check_elements():
+            # every m up to past the largest order, so absent orders too
+            for m in range(1, spectrum[-1] + 2):
+                assert list(elements_of_order(g, m)) == \
+                    [p for p, o in brute if o == m], m
+
+        if spectrum_first:
+            assert order_spectrum(g).orders == spectrum
+            check_elements()
+        else:
+            check_elements()
+            assert order_spectrum(g).orders == spectrum
+
+    @pytest.mark.parametrize("spectrum_first", [True, False],
+                             ids=["spectrum-first", "elements-first"])
+    @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
+    def test_fresh_handle_computes_each_order_once(self, monkeypatch, name,
+                                                   spectrum_first):
+        g = catalog_group(name)
+        orders = sorted({o for _p, o in _brute_orders(g)})
+        calls = _count_order_calls(monkeypatch)
+        if spectrum_first:
+            order_spectrum(g)
+        for m in orders:
+            list(elements_of_order(g, m))
+        order_spectrum(g)
+        assert len(calls) == g.order()
+
+    @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
+    def test_classes_seed_the_index(self, monkeypatch, name):
+        g = catalog_group(name)
+        calls = _count_order_calls(monkeypatch)
+        classes = conjugacy_classes(g)
+        for m in order_spectrum(g).orders:
+            list(elements_of_order(g, m))
+        conjugacy_classes(g)
+        assert len(calls) <= len(classes)
+
+    def test_cap_applies_to_indexed_handle(self, group, monkeypatch):
+        g = group("A5")
+        order_spectrum(g)
+        assert g._orders is not None
+        monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
+        with pytest.raises(EnumerationCapExceeded):
+            order_spectrum(g)
+        with pytest.raises(EnumerationCapExceeded):
+            elements_of_order(g, 5)
+        with pytest.raises(EnumerationCapExceeded):
+            conjugacy_classes(g)
+
+    def test_elements_of_order_is_a_generator(self):
+        # a generator runs its enumeration as the caller iterates
+        g = catalog_group("A5")
+        assert type(elements_of_order(g, 5)) is GeneratorType
+        assert g._orders is not None
+        assert type(elements_of_order(g, 5)) is GeneratorType
 
 
 def _agl1(p, root):
