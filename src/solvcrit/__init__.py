@@ -28,7 +28,6 @@ from .engine import (
     StabilizerChain,
     build_group,
     enumerate_elements,
-    normal_closure,
 )
 from .numbertheory import (
     DivisorSet,
@@ -55,7 +54,6 @@ from .structure import (
     OrderSpectrum,
     SolvabilityResult,
     conjugacy_classes,
-    derived_subgroup,
     elements_of_order,
     is_solvable,
     order_spectrum,

@@ -37,10 +37,6 @@ class EnumerationCapExceeded(RuntimeError):
     """Group is too large for element enumeration at the configured cap."""
 
 
-class NotASubsetError(ValueError):
-    """An element required to lie in the group does not."""
-
-
 def enumeration_cap() -> int:
     """Current enumeration cap (default 2e6, overridable via SOLVCRIT_ENUM_CAP)."""
     raw = os.environ.get(ENUM_CAP_ENV)
@@ -210,14 +206,6 @@ class StabilizerChain:
                 f"degree mismatch: {len(g)} vs {self.degree}")
         return self._sift(g)[0] is None
 
-    @property
-    def base(self) -> tuple:
-        """Base points, 1-based, in chain order."""
-        return tuple(lv.point + 1 for lv in self._levels)
-
-    def transversal_sizes(self) -> tuple:
-        return tuple(len(lv.transversal) for lv in self._levels)
-
     def iter_tuples(self) -> Iterator[tuple]:
         """All elements, exactly once, in the chain's deterministic order.
 
@@ -317,25 +305,6 @@ def _element_tuples(group: GroupHandle) -> Iterator[tuple]:
 def enumerate_elements(group: GroupHandle) -> Iterator[Permutation]:
     """Yield every element exactly once, in deterministic order."""
     return (Permutation._wrap(t) for t in _element_tuples(group))
-
-
-def normal_closure(group: GroupHandle,
-                   seeds: Sequence[Permutation],
-                   label: str | None = None) -> GroupHandle:
-    """Smallest normal subgroup of ``group`` containing ``seeds``.
-
-    Worklist construction: adjoin conjugates of newly added generators by the
-    parent's generators until the (incrementally re-closed) chain absorbs
-    them all; the result is then verified closed under conjugation.
-    """
-    for s in seeds:
-        if s not in group:
-            raise NotASubsetError(f"seed element {s} is not in the group")
-    seed_tuples = [s.images for s in seeds]
-    closure_gens, _chain = _normal_closure_tuples(
-        group._gen_tuples, seed_tuples, group.degree)
-    perms = [Permutation._wrap(t) for t in closure_gens]
-    return build_group(perms or [Permutation.identity(group.degree)], label)
 
 
 def _normal_closure_tuples(parent_gens: Sequence[tuple],

@@ -31,8 +31,11 @@ class ValueOutOfRangeError(ValueError):
 
 def _check_range(n: int, what: str = "value") -> None:
     if n >= VALUE_LIMIT:
+        # past 2048 bits the value is named by its size: Python may refuse
+        # to print it (its int-to-str limit is 640 digits at the lowest)
+        shown = n if n.bit_length() <= 2048 else f"of {n.bit_length()} bits"
         raise ValueOutOfRangeError(
-            f"{what} {n} is not below 2**96; refusing to factor")
+            f"{what} {shown} is not below 2**96; refusing to factor")
 
 
 def is_prime(n: int) -> bool:
@@ -255,6 +258,10 @@ def _ppd_primes(base: int, e: int) -> tuple:
     every prime r left for rho has order e mod r, so r is odd and 1 mod e,
     the shape that x^lcm(2, e) + c needs.
     """
+    if e > 96:
+        # base >= 2, so base^e - 1 >= 2^97 - 1: refused before it is formed
+        raise ValueOutOfRangeError(
+            f"{base}^{e} - 1 is not below 2**96; refusing to factor")
     _check_range(base ** e - 1, f"{base}^{e} - 1")
     value = _cyclotomic(e, base)
     if value == 1:
@@ -414,6 +421,7 @@ def cyclotomic_value(k: int, q: int) -> int:
         raise ValueError("need 1 <= k <= 120")
     if q < 2:
         raise ValueError("need q >= 2")
+    _check_range(q, "q")  # before q^k is formed
     _check_range(q ** k, f"{q}^{k}")
     return _cyclotomic(k, q)
 

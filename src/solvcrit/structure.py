@@ -13,7 +13,6 @@ from .engine import (
     _check_cap,
     _element_tuples,
     _normal_closure_tuples,
-    normal_closure,
 )
 from .permutation import (
     Permutation,
@@ -63,9 +62,6 @@ class OrderSpectrum:
     orders: tuple
     group_order: int
 
-    def __contains__(self, m: int) -> bool:
-        return m in self.orders
-
 
 def _commutator_tuples(gens: Sequence[tuple], degree: int) -> list[tuple]:
     """Distinct nontrivial commutators a^-1 b^-1 a b, in (a, b) order."""
@@ -105,12 +101,6 @@ def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
         raise AssertionError(
             "centralizer order differs from |G| / |class| (builder bug)")
     return gens
-
-
-def derived_subgroup(group: GroupHandle) -> GroupHandle:
-    """[G, G]: normal closure in G of the commutators of G's generators."""
-    commutators = _commutator_tuples(group._gen_tuples, group.degree)
-    return normal_closure(group, [Permutation._wrap(t) for t in commutators])
 
 
 def _solvability_tuples(gen_tuples: Sequence[tuple], degree: int,

@@ -141,6 +141,10 @@ class TestErrors:
         code, _, err = run("ppd", "6", "3")
         assert code == 2
 
+    def test_ppd_exponent_out_of_range_exits_two(self, run):
+        code, _, err = run("ppd", "3", "1000000")
+        assert code == 2 and "3^1000000 - 1" in err
+
     def test_workers_flag_is_a_usage_error(self, capsys):
         for argv in (["criterion", "--group", "A5"],
                      ["witness", "verify", "3", "5", "--group", "A5"],

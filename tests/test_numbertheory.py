@@ -132,6 +132,30 @@ class TestFactorize:
         assert _pollard_rho(2047, 22) == 23
 
 
+class TestRangeRefusals:
+    # a value past Python's int-to-str digit limit, or a power too large to
+    # form quickly, is still refused with the module's own error
+    @pytest.mark.parametrize("call", [
+        lambda: factorize(10**5000),
+        lambda: cyclotomic_value(120, 10**40),
+        lambda: ppd(3, 10**6),
+        lambda: bppd(3, 10**6),
+    ], ids=["factorize", "cyclotomic_value", "ppd", "bppd"])
+    def test_refused_with_range_error(self, call):
+        with pytest.raises(ValueOutOfRangeError):
+            call()
+
+    def test_messages_name_the_refused_value(self):
+        with pytest.raises(ValueOutOfRangeError) as raised:
+            factorize(10**5000)
+        assert str(raised.value) == \
+            "value of 16610 bits is not below 2**96; refusing to factor"
+        with pytest.raises(ValueOutOfRangeError) as raised:
+            ppd(3, 10**6)
+        assert str(raised.value) == \
+            "3^1000000 - 1 is not below 2**96; refusing to factor"
+
+
 class TestPrimePower:
     def test_parse(self):
         pp = PrimePower.of(27)

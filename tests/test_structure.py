@@ -9,9 +9,10 @@ from solvcrit.catalog import catalog_group
 from solvcrit.engine import (
     EnumerationCapExceeded,
     GroupHandle,
+    StabilizerChain,
+    _normal_closure_tuples,
     build_group,
     enumerate_elements,
-    normal_closure,
 )
 from solvcrit.permutation import Permutation, _tuple_order, parse_cycles
 from solvcrit.structure import (
@@ -19,7 +20,6 @@ from solvcrit.structure import (
     _class_partition,
     _solvability_tuples,
     conjugacy_classes,
-    derived_subgroup,
     elements_of_order,
     is_solvable,
     order_spectrum,
@@ -30,15 +30,23 @@ def perm(text, degree):
     return parse_cycles(text, degree)
 
 
+def _derived(gens, degree):
+    # [G, G] as the normal closure of the generators' commutators, closed
+    # in full, with its order from a fresh chain on the closure's generators
+    closure, _chain = _normal_closure_tuples(
+        gens, structure._commutator_tuples(gens, degree), degree)
+    return closure, StabilizerChain.build(closure, degree)
+
+
 class TestDerivedSubgroup:
     def test_s4(self, group):
-        assert derived_subgroup(group("S4")).order() == 12
+        assert _derived(group("S4")._gen_tuples, 4)[1].order() == 12
 
     def test_abelian_gives_trivial(self, group):
-        assert derived_subgroup(group("C6")).order() == 1
+        assert _derived(group("C6")._gen_tuples, 6)[1].order() == 1
 
     def test_perfect_group(self, group):
-        assert derived_subgroup(group("A5")).order() == 60
+        assert _derived(group("A5")._gen_tuples, 5)[1].order() == 60
 
     def test_matches_full_commutator_brute_force(self, group):
         for name in ("S4", "D10", "F20", "A5"):
@@ -49,14 +57,14 @@ class TestDerivedSubgroup:
                     oracles.inv(a), oracles.inv(b)), a), b)
                 for a in elements for b in elements}
             expected = len(oracles.closure(commutators, g.degree))
-            assert derived_subgroup(g).order() == expected
+            assert _derived(g._gen_tuples, g.degree)[1].order() == expected
 
     def test_derived_subgroup_is_normal(self, group):
         g = group("S5")
-        d = derived_subgroup(g)
-        for h in d.generators:
+        gens, d = _derived(g._gen_tuples, 5)
+        for h in map(Permutation, gens):
             for gen in g.generators:
-                assert gen.inverse() * h * gen in d
+                assert d.contains_tuple((gen.inverse() * h * gen).images)
 
 
 class TestSolvability:
@@ -75,7 +83,9 @@ class TestSolvability:
         h = GroupHandle(g.generators, g.chain, g.label)
         assert is_solvable(h) == is_solvable(g)
         assert len(conjugacy_classes(h)) == 5
-        assert normal_closure(h, [parse_cycles("(1 2 3)", 5)]).order() == 60
+        _gens, chain = _normal_closure_tuples(
+            h._gen_tuples, [parse_cycles("(1 2 3)", 5).images], 5)
+        assert chain.order() == 60
 
     def test_burnside_two_prime_corpus(self, group):
         # order p^a q^b forces solvability; sanity oracle, not implementation
@@ -95,11 +105,11 @@ class TestSolvability:
 
 
 def _unbounded_series(handle):
-    # derived_subgroup closes every chain in full
-    orders = [handle.order()]
+    # _derived closes every chain in full
+    gens, orders = handle._gen_tuples, [handle.order()]
     while orders[-1] > 1:
-        handle = derived_subgroup(handle)
-        orders.append(handle.order())
+        gens, chain = _derived(gens, handle.degree)
+        orders.append(chain.order())
         if orders[-1] == orders[-2]:
             break
     return orders
@@ -436,8 +446,9 @@ class TestSmallDegrees:
         for seed in sorted(elements):
             conjugates = {oracles.mult(oracles.mult(oracles.inv(t), seed), t)
                           for t in elements}
-            closed = normal_closure(g, [Permutation(seed)])
-            assert {p.images for p in enumerate_elements(closed)} == \
+            _gens, closed = _normal_closure_tuples(
+                g._gen_tuples, [seed], g.degree)
+            assert set(closed.iter_tuples()) == \
                 oracles.closure(conjugates, g.degree)
 
     def test_is_solvable(self, name):
