@@ -226,7 +226,7 @@ def _cmd_zsigmondy_scan(args) -> int:
     for pp in nt.prime_powers_upto(args.qmax):
         for e in range(2, args.emax + 1):
             if pp.q ** e >= nt.VALUE_LIMIT:
-                continue
+                break  # q^e only grows with e
             closed = nt.zsigmondy_empty(pp, e)
             computed = nt.bppd(pp, e).is_empty()
             if closed != computed:

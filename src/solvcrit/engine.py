@@ -51,27 +51,25 @@ def enumeration_cap() -> int:
 class _Level:
     """One level of the chain: a base point with transversal and generators.
 
-    ``inverses`` holds each transversal representative's inverse, computed
-    once when its orbit point is added, for sifting and Schreier generators.
+    The keys of ``transversal`` are the orbit of the base point, in
+    discovery order.  ``inverses`` holds each transversal representative's
+    inverse, computed once when its orbit point is added, for sifting and
+    Schreier generators.
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverses", "orbit",
-                 "pending")
+    __slots__ = ("point", "gens", "transversal", "inverses", "pending")
 
     def __init__(self, point: int, identity: tuple):
         self.point = point
         self.gens: list[tuple] = []
         self.transversal: dict[int, tuple] = {point: identity}
         self.inverses: dict[int, tuple] = {point: identity}
-        self.orbit: list[int] = [point]
-        # Schreier-generator work queue of (orbit point, generator index)
+        # Schreier-generator work queue of (orbit point, generator)
         self.pending: deque = deque()
 
     def add_generator(self, gen: tuple) -> None:
-        idx = len(self.gens)
         self.gens.append(gen)
-        for x in self.orbit:
-            self.pending.append((x, idx))
+        self.pending.extend((x, gen) for x in self.transversal)
         self._extend_orbit()
 
     def _extend_orbit(self) -> None:
@@ -80,21 +78,16 @@ class _Level:
         transversal = self.transversal
         inverses = self.inverses
         gens = self.gens
-        frontier = list(self.orbit)
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                rep = transversal[x]
-                for gen in gens:
-                    y = gen[x]
-                    if y not in transversal:
-                        transversal[y] = new_rep = _mult(rep, gen)
-                        inverses[y] = _inv(new_rep)
-                        self.orbit.append(y)
-                        new_frontier.append(y)
-                        for idx in range(len(gens)):
-                            self.pending.append((y, idx))
-            frontier = new_frontier
+        orbit = list(transversal)
+        for x in orbit:  # breadth first: new points are appended
+            rep = transversal[x]
+            for gen in gens:
+                y = gen[x]
+                if y not in transversal:
+                    transversal[y] = new_rep = _mult(rep, gen)
+                    inverses[y] = _inv(new_rep)
+                    orbit.append(y)
+                    self.pending.extend((y, g) for g in gens)
 
 
 class StabilizerChain:
@@ -162,8 +155,7 @@ class StabilizerChain:
             if level is None:
                 return
             lv = levels[level]
-            x, gen_idx = lv.pending.popleft()
-            gen = lv.gens[gen_idx]
+            x, gen = lv.pending.popleft()
             walked = _mult(lv.transversal[x], gen)
             y = gen[x]
             if walked == lv.transversal[y]:
@@ -323,11 +315,13 @@ def _normal_closure_tuples(parent_gens: Sequence[tuple],
             continue
         chain.extend([h], bound=bound)
         added.append(h)
+        by_h = _mult_by(h)
         for g, by_g_inv in conjugators:
-            queue.append(by_g_inv(_mult(h, g)))
+            queue.append(by_g_inv(by_h(g)))
     for h in added:
+        by_h = _mult_by(h)
         for g, by_g_inv in conjugators:
-            if not chain.contains_tuple(by_g_inv(_mult(h, g))):
+            if not chain.contains_tuple(by_g_inv(by_h(g))):
                 raise AssertionError(
                     "normal closure not conjugation-closed (builder bug)")
     return added, chain

@@ -53,7 +53,8 @@ def _inv(p: tuple) -> tuple:
 def _conjugators(gens: Sequence[tuple]) -> list:
     """(g, by_g_inv) for each g, with by_g_inv = _mult_by(g^-1) prebuilt.
 
-    The conjugate t^g = g^-1 * t * g is then ``by_g_inv(_mult(t, g))``.
+    The conjugate t^g = g^-1 * t * g is then ``by_g_inv(by_t(g))``, where
+    ``by_t = _mult_by(t)`` is built once per t and serves every g.
     """
     return [(g, _mult_by(_inv(g))) for g in gens]
 

@@ -153,34 +153,32 @@ def _class_partition(group: GroupHandle) -> tuple[list, list]:
     """Element tuples in enumeration order, and the conjugacy classes in
     ``conjugacy_classes`` order as (element order, sorted member positions).
 
-    A class's order is read from the group's order index, or, before the
-    index exists, computed from its first member and written into the
-    index at every member's position.
+    ``unassigned`` maps each element not yet in a class to its position;
+    a class is grown from its earliest member by a stack walk that pops
+    each conjugate it reaches from ``unassigned``.  A class's order is read
+    from the group's order index, or, before the index exists, computed
+    from its first member and written into the index at every member's
+    position.
     """
     elements = list(_element_tuples(group))
     index = group._orders
-    position = {t: i for i, t in enumerate(elements)}
+    unassigned = {t: i for i, t in enumerate(elements)}
     conjugators = _conjugators(group._gen_tuples)
 
-    assigned = [False] * len(elements)
     raw_classes = []
     for i, start in enumerate(elements):
-        if assigned[i]:
+        if unassigned.pop(start, None) is None:
             continue
         members_idx = [i]
-        assigned[i] = True
-        frontier = [start]
-        while frontier:
-            new_frontier = []
-            for t in frontier:
-                for g, by_g_inv in conjugators:
-                    c = by_g_inv(_mult(t, g))
-                    j = position[c]
-                    if not assigned[j]:
-                        assigned[j] = True
-                        members_idx.append(j)
-                        new_frontier.append(c)
-            frontier = new_frontier
+        stack = [start]
+        while stack:
+            by_t = _mult_by(stack.pop())
+            for g, by_g_inv in conjugators:
+                c = by_g_inv(by_t(g))
+                j = unassigned.pop(c, None)
+                if j is not None:
+                    members_idx.append(j)
+                    stack.append(c)
         members_idx.sort()
         raw_classes.append((_tuple_order(start) if index is None
                             else index[i], members_idx))

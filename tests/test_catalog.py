@@ -154,6 +154,24 @@ class TestGroupFiles:
         with pytest.raises(GroupFileError):
             parse_group_file("label x\ndegree 5\nnonsense 3\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("label", "line 2: label requires a value"),
+        ("degree x", "line 2: bad degree 'x'"),
+        ("degree 0", "line 2: degree must be positive"),
+        ("order x", "line 2: bad order 'x'"),
+        ("order 0", "line 2: order must be positive"),
+    ])
+    def test_bad_line_is_refused_with_its_number(self, line, message):
+        with pytest.raises(GroupFileError) as err:
+            parse_group_file(f"degree 5\n{line}\ngen (1 2)\n")
+        assert str(err.value) == message
+        assert err.value.line == 2
+
+    def test_missing_degree_is_named(self):
+        with pytest.raises(GroupFileError) as err:
+            parse_group_file("label x\n")
+        assert str(err.value) == "missing degree"
+
     def test_order_gate_rejects_wrong_order(self):
         text = A5_FILE.replace("order 60", "order 120")
         with pytest.raises(OrderGateError):
@@ -165,6 +183,9 @@ class TestGroupFiles:
 
 
 class TestCatalogNames:
+    def test_repr_names_label_degree_and_order(self):
+        assert repr(catalog_group("A5")) == "<A5: degree 5, order 60>"
+
     @pytest.mark.parametrize("name,order", [
         ("A5", 60), ("S6", 720), ("D10", 20), ("C12", 12),
         ("F20", 20), ("psl2:7", 168), ("M11", 7920), ("M12", 95040),

@@ -82,6 +82,20 @@ class TestChecks:
         code, out, _ = run("zsigmondy-scan", "9", "8")
         assert code == 0 and "OK" in out
 
+    def test_zsigmondy_scan_stops_at_the_value_limit(self, run):
+        # 4^e passes 2**96 at e = 48, so every exponent past it prints
+        # nothing, and the scan must not walk them
+        code, out, _ = run("zsigmondy-scan", "4", "1000000", "--format", "json")
+        _, ref, _ = run("zsigmondy-scan", "4", "96", "--format", "json")
+        wide, narrow = json.loads(out), json.loads(ref)
+        assert code == 0
+        assert wide["mismatches"] == narrow["mismatches"] == []
+        assert wide["empty_cells"] == narrow["empty_cells"]
+
+    def test_witness_search_without_prime_pairs(self, run):
+        code, out, _ = run("witness", "search", "--group", "S4", "--primes")
+        assert code == 0 and out == "S4: no prime witness pairs\n"
+
 
 class TestNumberTheoryCommands:
     def test_ppd(self, run):
@@ -203,6 +217,12 @@ class TestEnumCapEnv:
             env=_child_env(SOLVCRIT_ENUM_CAP="10"))
         assert proc.returncode == 2
         assert "cap" in proc.stderr
+
+    def test_nonpositive_cap_is_a_usage_error(self, run, monkeypatch):
+        monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "0")
+        code, out, err = run("spectrum", "--group", "A5")
+        assert code == 2 and out == ""
+        assert err == "error: SOLVCRIT_ENUM_CAP must be positive, got 0\n"
 
 
 class TestImportCost:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -82,6 +83,10 @@ class TestBuildGroup:
         reference = PermutationGroup([SymPerm(list(img)) for img in images])
         assert g.order() == reference.order()
         assert is_solvable(g).solvable == reference.is_solvable
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            StabilizerChain(0)
 
     def test_degree_one(self):
         g = build_group([Permutation.identity(1)])
@@ -172,6 +177,48 @@ class TestDeterminism:
         g = build_group([perm("(3 4 5)", 6)])
         # point 3, 0-based
         assert [lv.point for lv in g.chain._levels] == [2]
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestEnumerationOrderPins:
+    """Frozen digests of the chain's enumeration order, its transversal
+    representatives, and each level's discovery order and strong generators.
+
+    The CLI golden digests guard these only through their output; a change
+    to the Schreier-Sims queue or the orbit walk that reorders anything
+    shows here first.
+    """
+
+    PINS = {
+        "M11": (
+            "02d2a93755fa8e82ccfb391926bda8be3e7d8d61cb2bf6806702e5bec4138e7d",
+            "545c3cd6d0246b7a976558758d413c8a8a30f439b7000a8a37a87f5841314154",
+            "684f3b601d5a768d00c7f995055e5815e0258beeb44b4d34bbed3ad8a18d5f59",
+        ),
+        "psl2:11": (
+            "17ed329e58bf86dcaf367b396d31bb744b19fb774ef3e6ecb2680621585b6a1a",
+            "382962edfb445cf2b7c10f81def88997256c7051322d96dcea48ed6db0dc1433",
+            "5a192e998205fd3b81d552d190a8b6827a4748d6e966e6307b208106d07d4a4c",
+        ),
+        "A7": (
+            "6eaa3d9d2a91b15d852e295b2c4656d5081e0c7825b5ec08ae96c57f6364f211",
+            "d81d5e4d2ce3c26b459daa2009fcfc616d2c485cf33a1000a1e0065e9e91be76",
+            "f8ec8d41aff9432355ad0828b83450e42e6910914728114691b28b155a050f72",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_chain_digests(self, group, name):
+        chain = group(name).chain
+        levels = chain._levels
+        assert (
+            _sha(list(chain.iter_tuples())),
+            _sha([(lv.point, sorted(lv.transversal.items())) for lv in levels]),
+            _sha([(list(lv.transversal), lv.gens) for lv in levels]),
+        ) == self.PINS[name]
 
 
 class TestGeneratedSubgroup:

@@ -23,6 +23,7 @@ from solvcrit.numbertheory import (
     factorize,
     is_mersenne_prime,
     is_prime,
+    largest_prime_upto,
     lbpd,
     lbpd_empty_closed_form,
     lpd,
@@ -154,6 +155,19 @@ class TestRangeRefusals:
             ppd(3, 10**6)
         assert str(raised.value) == \
             "3^1000000 - 1 is not below 2**96; refusing to factor"
+
+
+class TestArgumentRefusals:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ppd(4, 0), "e must be at least 1"),
+        (lambda: bppd(4, 0), "e must be at least 1"),
+        (lambda: cyclotomic_value(3, 1), "need q >= 2"),
+        (lambda: largest_prime_upto(1), "no prime available"),
+    ], ids=["ppd", "bppd", "cyclotomic_value", "largest_prime_upto"])
+    def test_refused_with_message(self, call, message):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 class TestPrimePower:

@@ -58,6 +58,22 @@ class TestParse:
         assert parse_cycles(" ( 1 2 )  ( 3 4 ) ", 4) == parse_cycles(
             "(1 2)(3 4)", 4)
 
+    def test_invalid_point_named(self):
+        with pytest.raises(CycleParseError, match="^invalid point 'x'$"):
+            parse_cycles("(1 x)", 3)
+
+    @pytest.mark.parametrize("call", [
+        lambda: parse_cycles("", 0),
+        lambda: Permutation.identity(0),
+    ], ids=["parse_cycles", "identity"])
+    def test_degree_zero_rejected(self, call):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            call()
+
+    def test_apply_refuses_point_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^point 0 out of range 1\.\.3$"):
+            parse_cycles("(1 2)", 3).apply(0)
+
     def test_fixed_point_cycle_allowed(self):
         assert parse_cycles("(2)", 3) == Permutation.identity(3)
 

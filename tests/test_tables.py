@@ -42,6 +42,9 @@ class TestParsing:
             ExpectedOutcomeRow("X", 2, 3, frozenset())
         with pytest.raises(TableFormatError):
             ExpectedOutcomeRow("X", 2, 3, frozenset({1}))
+        with pytest.raises(TableFormatError) as raised:
+            ExpectedOutcomeRow("G", 0, 2, frozenset({6}))
+        assert str(raised.value) == "G: element orders must be positive"
 
 
 class TestShippedTable:
@@ -103,4 +106,4 @@ class TestVerification:
         rows = parse_expected_table(GOOD)
         (result,) = verify_expected_table(rows)
         assert result.status == SKIPPED
-        assert "cap" in result.reason
+        assert result.reason == "order 60 exceeds enumeration cap"
