@@ -45,6 +45,7 @@ from .permutation import Permutation, _conjugators, _mult_by
 from .structure import (
     _centralizer_tuples,
     _class_partition,
+    _positions_of_order,
     _solvability_tuples,
     conjugacy_classes,
     is_solvable,
@@ -292,13 +293,11 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
     return _witness_report(_PairJudge(group, elements), partition, a, b)
 
 
-def _witness_report(judge: _PairJudge, partition: list, a: int,
+def _witness_report(judge: _PairJudge, partition: tuple, a: int,
                     b: int) -> WitnessReport:
-    # the scan behind verify_witness_pair and each search candidate; the
-    # order-b classes' merged positions list order b in enumeration order
+    # the scan behind verify_witness_pair and each search candidate
     elements = judge.elements
-    ys = [elements[k] for k in sorted(
-        k for order, positions in partition if order == b for k in positions)]
+    ys = [elements[k] for k in _positions_of_order(partition, b)]
     outcomes: Counter = Counter()
     counterexample = None
     for order, positions in partition:

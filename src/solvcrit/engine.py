@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -222,16 +221,16 @@ class StabilizerChain:
 class GroupHandle:
     """An immutable permutation group: generators plus an eagerly built chain.
 
-    ``_orders`` holds each element's order, in enumeration order, once a
-    spectrum, order query or class partition has computed it; see
-    :func:`solvcrit.structure._order_index`.
+    ``_classes`` holds the conjugacy classes as (element order, member
+    positions) once a class, spectrum, order or scan query has walked them;
+    see :func:`solvcrit.structure._class_partition`.
     """
 
     generators: tuple
     chain: StabilizerChain
     label: str | None = None
     _gen_tuples: tuple = field(init=False, repr=False)
-    _orders: array | None = field(init=False, default=None, repr=False)
+    _classes: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_gen_tuples",
@@ -275,7 +274,7 @@ def _check_cap(group: GroupHandle) -> None:
     """Raise EnumerationCapExceeded if the group is above the cap.
 
     Every query that reads the group element by element calls this, also
-    when it is served from the handle's order index.
+    when it is served from the handle's class record.
     """
     order = group.order()
     limit = enumeration_cap()

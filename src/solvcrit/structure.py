@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator, Sequence
 
 from .engine import (
@@ -126,46 +125,24 @@ def is_solvable(group: GroupHandle) -> SolvabilityResult:
     return _solvability_tuples(group._gen_tuples, group.degree, group.order())
 
 
-# typecode of the order index: element orders divide |G|, so an order
-# past 2**32 needs a group of over four billion elements to enumerate,
-# and array raises OverflowError rather than wrap
-_ORDER_TYPECODE = "I"
+def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
+    """Element tuples in enumeration order, and the group's class record.
 
-
-def _order_index(group: GroupHandle) -> array:
-    """Each element's order, in enumeration order.
-
-    Built once per handle, by one ``_tuple_order`` sweep or by
-    ``_class_partition``, whichever runs first; the cap is checked on
-    every call.
-    """
-    index = group._orders
-    if index is None:
-        index = array(_ORDER_TYPECODE,
-                      map(_tuple_order, _element_tuples(group)))
-        object.__setattr__(group, "_orders", index)
-    else:
-        _check_cap(group)
-    return index
-
-
-def _class_partition(group: GroupHandle) -> tuple[list, list]:
-    """Element tuples in enumeration order, and the conjugacy classes in
-    ``conjugacy_classes`` order as (element order, sorted member positions).
-
-    ``unassigned`` maps each element not yet in a class to its position;
-    a class is grown from its earliest member by a stack walk that pops
-    each conjugate it reaches from ``unassigned``.  A class's order is read
-    from the group's order index, or, before the index exists, computed
-    from its first member and written into the index at every member's
-    position.
+    The record lists the conjugacy classes in ``conjugacy_classes`` order
+    as (element order, sorted member positions), the positions an
+    ``array("I")``.  The first call walks it and keeps it on the handle;
+    every call enumerates G once.  ``unassigned`` maps each element not
+    yet in a class to its position; a class is grown from its earliest
+    member by a stack walk that pops each conjugate it reaches from
+    ``unassigned``, and its order is that of its first member.
     """
     elements = list(_element_tuples(group))
-    index = group._orders
+    if group._classes is not None:
+        return elements, group._classes
     unassigned = {t: i for i, t in enumerate(elements)}
     conjugators = _conjugators(group._gen_tuples)
 
-    raw_classes = []
+    classes = []
     for i, start in enumerate(elements):
         if unassigned.pop(start, None) is None:
             continue
@@ -180,16 +157,26 @@ def _class_partition(group: GroupHandle) -> tuple[list, list]:
                     members_idx.append(j)
                     stack.append(c)
         members_idx.sort()
-        raw_classes.append((_tuple_order(start) if index is None
-                            else index[i], members_idx))
-    if index is None:
-        index = array(_ORDER_TYPECODE, [0]) * len(elements)
-        for elt_order, members_idx in raw_classes:
-            for j in members_idx:
-                index[j] = elt_order
-        object.__setattr__(group, "_orders", index)
-    raw_classes.sort(key=lambda c: (c[0], len(c[1]), c[1][0]))
-    return elements, raw_classes
+        classes.append((_tuple_order(start), array("I", members_idx)))
+    classes.sort(key=lambda c: (c[0], len(c[1]), c[1][0]))
+    record = tuple(classes)
+    object.__setattr__(group, "_classes", record)
+    return elements, record
+
+
+def _class_record(group: GroupHandle) -> tuple:
+    """The class record of ``_class_partition``, read without enumerating
+    G once it exists; the cap is checked on every call."""
+    if group._classes is None:
+        return _class_partition(group)[1]
+    _check_cap(group)
+    return group._classes
+
+
+def _positions_of_order(classes: Sequence, m: int) -> list:
+    """Positions of the elements of order m, in enumeration order."""
+    return sorted(k for order, positions in classes if order == m
+                  for k in positions)
 
 
 def conjugacy_classes(group: GroupHandle) -> list:
@@ -210,7 +197,7 @@ def conjugacy_classes(group: GroupHandle) -> list:
 
 def order_spectrum(group: GroupHandle) -> OrderSpectrum:
     """oe(G): the exact set of element orders of the group."""
-    orders = set(_order_index(group))
+    orders = {order for order, _positions in _class_record(group)}
     return OrderSpectrum(tuple(sorted(orders)), group.order())
 
 
@@ -218,7 +205,7 @@ def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order."""
     if m < 1:
         raise ValueError("order must be positive")
-    index = _order_index(group)
+    wanted = set(_positions_of_order(_class_record(group), m))
     # a generator, so the enumeration runs as the caller iterates
-    return (Permutation._wrap(t) for t in compress(
-        _element_tuples(group), (elt_order == m for elt_order in index)))
+    return (Permutation._wrap(t)
+            for k, t in enumerate(_element_tuples(group)) if k in wanted)

@@ -6,6 +6,11 @@ import pytest
 import oracles
 from solvcrit import structure
 from solvcrit.catalog import catalog_group
+from solvcrit.criterion import (
+    check_criterion,
+    search_witness_pairs,
+    verify_witness_pair,
+)
 from solvcrit.engine import (
     EnumerationCapExceeded,
     GroupHandle,
@@ -210,7 +215,7 @@ class TestClassPartition:
         elements, partition = _class_partition(g)
         assert elements == [p.images for p in enumerate_elements(g)]
         # positions[0] is the representative: the earliest member
-        assert all(ks == sorted(ks) for _order, ks in partition)
+        assert all(list(ks) == sorted(ks) for _order, ks in partition)
         for b in order_spectrum(g).orders:
             merged = sorted(k for order, ks in partition if order == b
                             for k in ks)
@@ -274,28 +279,35 @@ class TestElementsOfOrder:
             elements_of_order(group("A5"), 5)
 
 
-# C300 has element orders >= 256, past any one-byte index entry
+# C300 has 300 one-element classes and element orders past 255
 INDEX_GROUPS = ["A6", "psl2:8", "M11", "S5", "C300"]
 
 
 def _brute_orders(g):
-    """(element, order) over the enumeration, outside the order index."""
+    """(element, order) over the enumeration, outside the class record."""
     return [(p, _tuple_order(p.images)) for p in enumerate_elements(g)]
 
 
-def _count_order_calls(monkeypatch):
+def _count_calls(monkeypatch, name):
+    # counts the calls that structure makes to its kernel function ``name``
     calls = []
+    original = getattr(structure, name)
 
-    def counting(t):
+    def counting(*args):
         calls.append(1)
-        return _tuple_order(t)
+        return original(*args)
 
-    monkeypatch.setattr(structure, "_tuple_order", counting)
+    monkeypatch.setattr(structure, name, counting)
     return calls
 
 
+# an (a, b) order pair of each group; C300 is abelian, so its pair is
+# refuted and the others verify
+ORDER_PAIRS = {"A6": (3, 5), "psl2:8": (3, 7), "M11": (2, 11), "C300": (3, 4)}
+
+
 class TestOrderIndex:
-    """The spectrum and every order query read one per-handle order index."""
+    """The spectrum and every order query read the handle's class record."""
 
     @pytest.mark.parametrize("spectrum_first", [True, False],
                              ids=["spectrum-first", "elements-first"])
@@ -322,49 +334,84 @@ class TestOrderIndex:
             check_elements()
             assert order_spectrum(g).orders == spectrum
 
-    @pytest.mark.parametrize("spectrum_first", [True, False],
-                             ids=["spectrum-first", "elements-first"])
-    @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
-    def test_fresh_handle_computes_each_order_once(self, monkeypatch, name,
-                                                   spectrum_first):
-        g = catalog_group(name)
-        orders = sorted({o for _p, o in _brute_orders(g)})
-        calls = _count_order_calls(monkeypatch)
-        if spectrum_first:
-            order_spectrum(g)
-        for m in orders:
-            list(elements_of_order(g, m))
-        order_spectrum(g)
-        assert len(calls) == g.order()
-
-    @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
-    def test_classes_seed_the_index(self, monkeypatch, name):
-        g = catalog_group(name)
-        calls = _count_order_calls(monkeypatch)
-        classes = conjugacy_classes(g)
-        for m in order_spectrum(g).orders:
-            list(elements_of_order(g, m))
-        conjugacy_classes(g)
-        assert len(calls) <= len(classes)
-
-    def test_cap_applies_to_indexed_handle(self, group, monkeypatch):
-        g = group("A5")
-        order_spectrum(g)
-        assert g._orders is not None
-        monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
-        with pytest.raises(EnumerationCapExceeded):
-            order_spectrum(g)
-        with pytest.raises(EnumerationCapExceeded):
-            elements_of_order(g, 5)
-        with pytest.raises(EnumerationCapExceeded):
-            conjugacy_classes(g)
-
     def test_elements_of_order_is_a_generator(self):
         # a generator runs its enumeration as the caller iterates
         g = catalog_group("A5")
         assert type(elements_of_order(g, 5)) is GeneratorType
-        assert g._orders is not None
+        assert g._classes is not None
         assert type(elements_of_order(g, 5)) is GeneratorType
+
+
+class TestClassRecord:
+    """The classes, the spectrum, every order query and the scans read one
+    per-handle class record, walked once."""
+
+    @pytest.mark.parametrize("classes_first", [True, False],
+                             ids=["classes-first", "scans-first"])
+    @pytest.mark.parametrize("name", ["A6", "psl2:8", "C300"])
+    def test_one_walk_per_handle(self, monkeypatch, name, classes_first):
+        g = catalog_group(name)
+        a, b = ORDER_PAIRS[name]
+        walks = _count_calls(monkeypatch, "_conjugators")
+        orders = _count_calls(monkeypatch, "_tuple_order")
+        queries = [
+            lambda: conjugacy_classes(g),
+            lambda: order_spectrum(g),
+            lambda: [list(elements_of_order(g, m))
+                     for m in order_spectrum(g).orders],
+            lambda: verify_witness_pair(g, a, b),
+            lambda: search_witness_pairs(g),
+            lambda: check_criterion(g),
+        ]
+        for query in queries if classes_first else reversed(queries):
+            query()
+        assert len(walks) == 1
+        assert len(orders) <= len(g._classes)
+
+    @pytest.mark.parametrize("name", ["A6", "psl2:8", "M11"])
+    def test_record_changes_no_result(self, name):
+        # each query runs on a fresh handle, which walks its own classes,
+        # and on one whose record order_spectrum built
+        recorded = catalog_group(name)
+        order_spectrum(recorded)
+        assert recorded._classes is not None
+        a, b = ORDER_PAIRS[name]
+        assert verify_witness_pair(catalog_group(name), a, b).verified
+        for query in (conjugacy_classes,
+                      lambda g: verify_witness_pair(g, a, b),
+                      lambda g: search_witness_pairs(g, True),
+                      check_criterion):
+            assert repr(query(catalog_group(name))) == repr(query(recorded))
+
+    def test_relabelled_group_keeps_its_own_record(self):
+        g = catalog_group("psl2:7")
+        sigma = Permutation((3, 0, 6, 1, 7, 5, 2, 4))
+        gens = [sigma.inverse() * h * sigma for h in g.generators]
+        relabelled = build_group(gens)
+        assert relabelled.order() == g.order()
+        reps = [c.representative for c in conjugacy_classes(g)]
+        relabelled_reps = [c.representative
+                           for c in conjugacy_classes(relabelled)]
+        assert reps != relabelled_reps
+        assert relabelled._classes is not g._classes
+        again = build_group(gens)
+        assert repr(conjugacy_classes(again)) == \
+            repr(conjugacy_classes(relabelled))
+        assert relabelled._classes == again._classes
+
+    def test_cap_applies_to_recorded_handle(self, group, monkeypatch):
+        g = group("A5")
+        order_spectrum(g)
+        assert g._classes is not None
+        monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
+        for query in (order_spectrum,
+                      lambda g: elements_of_order(g, 5),
+                      conjugacy_classes,
+                      lambda g: verify_witness_pair(g, 3, 5),
+                      search_witness_pairs,
+                      check_criterion):
+            with pytest.raises(EnumerationCapExceeded):
+                query(g)
 
 
 def _agl1(p, root):
