@@ -222,8 +222,8 @@ class GroupHandle:
     """An immutable permutation group: generators plus an eagerly built chain.
 
     ``_classes`` holds the conjugacy classes as (element order, member
-    positions) once a class, spectrum, order or scan query has walked them;
-    see :func:`solvcrit.structure._class_partition`.
+    positions) once a class or scan query has walked them; see
+    :func:`solvcrit.structure._class_partition`.
     """
 
     generators: tuple

@@ -164,15 +164,6 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
     return elements, record
 
 
-def _class_record(group: GroupHandle) -> tuple:
-    """The class record of ``_class_partition``, read without enumerating
-    G once it exists; the cap is checked on every call."""
-    if group._classes is None:
-        return _class_partition(group)[1]
-    _check_cap(group)
-    return group._classes
-
-
 def _positions_of_order(classes: Sequence, m: int) -> list:
     """Positions of the elements of order m, in enumeration order."""
     return sorted(k for order, positions in classes if order == m
@@ -196,16 +187,37 @@ def conjugacy_classes(group: GroupHandle) -> list:
 
 
 def order_spectrum(group: GroupHandle) -> OrderSpectrum:
-    """oe(G): the exact set of element orders of the group."""
-    orders = {order for order, _positions in _class_record(group)}
+    """oe(G): the exact set of element orders of the group.
+
+    Read from the class record once the handle has one, enumerating
+    nothing (the cap is still checked); on a fresh handle one order sweep
+    over G, which stores nothing, so a one-off query never pays the walk.
+    """
+    record = group._classes
+    if record is None:
+        orders = set(map(_tuple_order, _element_tuples(group)))
+    else:
+        _check_cap(group)
+        orders = {order for order, _positions in record}
     return OrderSpectrum(tuple(sorted(orders)), group.order())
 
 
 def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
-    """All elements of order exactly m, in enumeration order."""
+    """All elements of order exactly m, in enumeration order.
+
+    Filtered by the class record once the handle has one, else by each
+    element's order, computed again on every call; neither path writes
+    the record, so a caller asking for many orders builds it first with
+    ``conjugacy_classes``.
+    """
     if m < 1:
         raise ValueError("order must be positive")
-    wanted = set(_positions_of_order(_class_record(group), m))
-    # a generator, so the enumeration runs as the caller iterates
+    record = group._classes
+    # generators, so the enumeration runs as the caller iterates
+    if record is None:
+        return (Permutation._wrap(t) for t in _element_tuples(group)
+                if _tuple_order(t) == m)
+    wanted = {k for order, positions in record if order == m
+              for k in positions}
     return (Permutation._wrap(t)
             for k, t in enumerate(_element_tuples(group)) if k in wanted)

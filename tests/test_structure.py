@@ -335,10 +335,12 @@ class TestOrderIndex:
             assert order_spectrum(g).orders == spectrum
 
     def test_elements_of_order_is_a_generator(self):
-        # a generator runs its enumeration as the caller iterates
+        # a generator runs its enumeration as the caller iterates, on a
+        # fresh handle and on one with a class record
         g = catalog_group("A5")
         assert type(elements_of_order(g, 5)) is GeneratorType
-        assert g._classes is not None
+        assert g._classes is None
+        conjugacy_classes(g)
         assert type(elements_of_order(g, 5)) is GeneratorType
 
 
@@ -368,19 +370,34 @@ class TestClassRecord:
         assert len(walks) == 1
         assert len(orders) <= len(g._classes)
 
+    @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
+    def test_fresh_order_queries_do_not_walk(self, monkeypatch, name):
+        # a one-off spectrum or order query sweeps G and stores nothing
+        g = catalog_group(name)
+        walks = _count_calls(monkeypatch, "_conjugators")
+        orders = _count_calls(monkeypatch, "_tuple_order")
+        spectrum = order_spectrum(g).orders
+        for m in spectrum:
+            list(elements_of_order(g, m))
+        assert walks == []
+        assert g._classes is None
+        # one order per element for the spectrum and for each order query
+        assert len(orders) == g.order() * (1 + len(spectrum))
+
     @pytest.mark.parametrize("name", ["A6", "psl2:8", "M11"])
     def test_record_changes_no_result(self, name):
         # each query runs on a fresh handle, which walks its own classes,
-        # and on one whose record order_spectrum built
+        # and on one whose record verify_witness_pair built; M11 leaves out
+        # the searches, which take seconds there and read the same record
         recorded = catalog_group(name)
-        order_spectrum(recorded)
-        assert recorded._classes is not None
         a, b = ORDER_PAIRS[name]
-        assert verify_witness_pair(catalog_group(name), a, b).verified
-        for query in (conjugacy_classes,
-                      lambda g: verify_witness_pair(g, a, b),
-                      lambda g: search_witness_pairs(g, True),
-                      check_criterion):
+        assert verify_witness_pair(recorded, a, b).verified
+        assert recorded._classes is not None
+        queries = [conjugacy_classes, lambda g: verify_witness_pair(g, a, b)]
+        if name != "M11":
+            queries += [lambda g: search_witness_pairs(g, True),
+                        check_criterion]
+        for query in queries:
             assert repr(query(catalog_group(name))) == repr(query(recorded))
 
     def test_relabelled_group_keeps_its_own_record(self):
@@ -401,7 +418,7 @@ class TestClassRecord:
 
     def test_cap_applies_to_recorded_handle(self, group, monkeypatch):
         g = group("A5")
-        order_spectrum(g)
+        conjugacy_classes(g)
         assert g._classes is not None
         monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
         for query in (order_spectrum,
