@@ -18,14 +18,17 @@ the generators of <y>: <x, y^k> = <x, y> when k is coprime to |y|, and
 Both scans run through one core, ``_PairJudge.first_solvable``, which
 judges one y per such orbit and tallies every scanned y with its orbit's
 verdict, so the reports are exactly those of a scan that judges every y.
-Each scan reads one class partition, one enumeration of G, and C_G(x) is
-generated by elements of that same list that commute with x, swept until
-their group has order |G| / |x^G|.  Scans are deterministic (enumeration
-order, first hit wins).  The exhaustive recheck of a criterion
-counterexample judges every distinct subgroup <x, y> with (x, y) in the
-C x D rectangle.  It relies on no equivariance, only on the power
-identity <x^j, y^k> = <x, y> for j, k coprime to |x|, |y|: it judges one
-pair per (<x>, <y>).
+Each scan reads one class partition, one enumeration of G.  C_G(x) is
+listed from a chain on elements of that same list that commute with x,
+swept until its order is |G| / |x^G|, and an orbit is marked by
+conjugating y and its coprime powers by every element of C_G(x).  That
+costs phi(|y|) |C_G(x)| conjugations per judged y: the orbit's size times
+the number of c in C_G(x) that normalize <y>, at least |C_G(<x, y>)|.
+Scans are deterministic (enumeration order, first hit wins).  The
+exhaustive recheck of a criterion counterexample judges every distinct
+subgroup <x, y> with (x, y) in the C x D rectangle.  It relies on no
+equivariance, only on the power identity <x^j, y^k> = <x, y> for j, k
+coprime to |x|, |y|: it judges one pair per (<x>, <y>).
 
 Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
 solvable group, whose subgroups are all solvable, and a verdict's chain
@@ -117,8 +120,8 @@ class _PairJudge:
     <x, y>'s chain is bounded by |G|, so a pair generating G stops closing
     as soon as its order reaches |G|, and G's solvability is reused without
     rerunning the derived series.  ``elements`` is G as the scan lists it;
-    the first time a scan needs C_G(x), its generators are swept from that
-    list (``_centralizer_tuples``) and kept.
+    the first time a scan needs C_G(x), its elements are listed from a chain
+    swept from that list (``_centralizer_tuples``) and kept.
     """
 
     __slots__ = ("degree", "elements", "parent_order", "parent_solvable",
@@ -163,24 +166,17 @@ class _PairJudge:
     def _mark_orbit(self, x: tuple, class_size: int, y: tuple,
                     verdict: tuple, known: dict) -> None:
         # <x, y^c> = <x, y>^c for c in C_G(x), and <x, y^k> = <x, y> for k
-        # coprime to |y|: one verdict per orbit.  The coprime powers are
-        # marked first; since (y^c)^k = (y^k)^c, their C_G(x)-orbits close
-        # the marked set under both maps.
+        # coprime to |y|: one verdict per orbit.  Since (y^c)^k = (y^k)^c,
+        # the orbit is {(y^k)^c}, one conjugate per k and c.
         conjugators = self.centralizers.get(x)
         if conjugators is None:
             conjugators = _conjugators(_centralizer_tuples(
                 self.elements, x, self.parent_order // class_size))
             self.centralizers[x] = conjugators
-        stack = [y, *_coprime_powers(y)]
-        for z in stack:
-            known[z] = verdict
-        while stack:
-            by_z = _mult_by(stack.pop())
+        for z in (y, *_coprime_powers(y)):
+            by_z = _mult_by(z)
             for c, by_c_inv in conjugators:
-                w = by_c_inv(by_z(c))
-                if w not in known:
-                    known[w] = verdict
-                    stack.append(w)
+                known[by_c_inv(by_z(c))] = verdict
 
 
 def check_criterion(group: GroupHandle) -> CriterionReport:

@@ -229,12 +229,7 @@ class GroupHandle:
     generators: tuple
     chain: StabilizerChain
     label: str | None = None
-    _gen_tuples: tuple = field(init=False, repr=False)
     _classes: tuple | None = field(init=False, default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_gen_tuples",
-                           tuple(g.images for g in self.generators))
 
     @property
     def degree(self) -> int:

@@ -78,28 +78,27 @@ def _commutator_tuples(gens: Sequence[tuple], degree: int) -> list[tuple]:
 
 def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
                         order: int) -> list[tuple]:
-    """Generators of the centralizer C_G(x), as image tuples.
+    """Every element of the centralizer C_G(x), as image tuples.
 
     ``elements`` lists all of G, and ``order`` is |C_G(x)| = |G| / |x^G|
-    (orbit-stabilizer).  The sweep keeps each element that commutes with x
+    (orbit-stabilizer).  The sweep adds each element that commutes with x
     and lies outside the chain built so far, until the chain's order
-    reaches ``order``; every generator is checked to commute with x.
+    reaches ``order``; the stopped chain is then complete (see
+    ``StabilizerChain.build``) and lists C_G(x).
     """
     by_x = _mult_by(x)
     chain = StabilizerChain(len(x))
-    gens: list[tuple] = []
     reached = 1
     for g in elements:
         if reached == order:
-            return gens
+            break
         if by_x(g) == _mult(g, x) and not chain.contains_tuple(g):
             chain.extend([g], bound=order)
-            gens.append(g)
             reached = chain.order()
     if reached != order:
         raise AssertionError(
             "centralizer order differs from |G| / |class| (builder bug)")
-    return gens
+    return list(chain.iter_tuples())
 
 
 def _solvability_tuples(gen_tuples: Sequence[tuple], degree: int,
@@ -122,7 +121,8 @@ def _solvability_tuples(gen_tuples: Sequence[tuple], degree: int,
 
 def is_solvable(group: GroupHandle) -> SolvabilityResult:
     """Decide solvability by iterating the derived series until it stabilizes."""
-    return _solvability_tuples(group._gen_tuples, group.degree, group.order())
+    gens = [g.images for g in group.generators]
+    return _solvability_tuples(gens, group.degree, group.order())
 
 
 def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
@@ -140,7 +140,7 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
     if group._classes is not None:
         return elements, group._classes
     unassigned = {t: i for i, t in enumerate(elements)}
-    conjugators = _conjugators(group._gen_tuples)
+    conjugators = _conjugators([g.images for g in group.generators])
 
     classes = []
     for i, start in enumerate(elements):

@@ -391,23 +391,41 @@ class TestOrbitReduction:
 
 
 class _PlantedJudge(_PairJudge):
-    """Calls (x, y) solvable when x is in ``planted``: class members other
-    than the representative, which the reduced scan never takes as x."""
+    """Calls (x, y) solvable exactly when it generates ``planted``, one
+    subgroup and none of its conjugates: no verdict of a conjugacy class
+    of subgroups, so the reduced scan, which takes one x per class, can
+    miss it."""
 
     planted = frozenset()
 
     def verdict(self, x, y):
         order, solvable = super().verdict(x, y)
-        return order, solvable or x in self.planted
+        planted = self.planted
+        return order, solvable or (order == len(planted) and x in planted
+                                   and y in planted)
 
 
 class TestRecheck:
     def test_recheck_catches_what_the_reduced_scan_cannot_see(
             self, group, monkeypatch):
-        g = group("A5")
+        # H: the first point stabilizer A5 that meets both counterexample
+        # classes C and D but misses C's representative, the one x that the
+        # reduced scan takes from C
+        g = group("A6")
         report = check_criterion(g)
-        c = conjugacy_classes(g)[report.counterexample[0].index]
-        planted = frozenset(m.images for m in c.members[1:])
+        classes = conjugacy_classes(g)
+        c, d = (classes[ref.index] for ref in report.counterexample)
+        elements = [p.images for p in enumerate_elements(g)]
+
+        def meets(h, members):
+            return any(m.images in h for m in members)
+
+        planted = next(
+            h for h in (frozenset(t for t in elements if t[point] == point)
+                        for point in range(g.degree))
+            if c.representative.images not in h
+            and meets(h, c.members) and meets(h, d.members))
+        assert len(planted) == 60
         monkeypatch.setattr(_PlantedJudge, "planted", planted)
         monkeypatch.setattr(criterion, "_PairJudge", _PlantedJudge)
         with pytest.raises(AssertionError, match="reduced scan missed"):
@@ -464,6 +482,37 @@ class TestRecheck:
                                for x in c for y in d}, name
 
 
+class TestMarkOrbit:
+    @pytest.mark.parametrize("name, a, b", [
+        ("A6", 3, 5), ("psl2:8", 9, 7), ("M11", 2, 11)])
+    def test_marks_the_orbit_of_y(self, group, name, a, b):
+        # the orbit of y under C_G(x) and coprime powers, by brute force
+        g = group(name)
+        elements, partition = _class_partition(g)
+        judge = _CountingJudge(g, elements)
+        assert _witness_report(judge, partition, a, b).verified
+        x, y = judge.judged[0]
+        verdict = judge.verdict(x, y)
+        assert not verdict[1]
+        known = {}
+        class_size = next(len(positions) for _order, positions in partition
+                          if elements[positions[0]] == x)
+        judge._mark_orbit(x, class_size, y, verdict, known)
+
+        n = oracles.tuple_order(y)
+        powers, z = [], y
+        for k in range(1, n):
+            if math.gcd(k, n) == 1:
+                powers.append(z)
+            z = oracles.mult(z, y)
+        centralizer = [c for c in elements
+                       if oracles.mult(c, x) == oracles.mult(x, c)]
+        orbit = {oracles.mult(oracles.mult(oracles.inv(c), z), c)
+                 for z in powers for c in centralizer}
+        assert set(known) == orbit
+        assert set(known.values()) == {verdict}
+
+
 class TestCoprimePowers:
     def test_matches_permutation_powers(self, group):
         cases = [p.images for p in enumerate_elements(group("A6"))]
@@ -501,4 +550,5 @@ class TestOneEnumeration:
 
         monkeypatch.setattr(StabilizerChain, "iter_tuples", counting)
         scan(g)
-        assert len(calls) == 1
+        # each C_G(x) is listed from its own chain, not from g.chain
+        assert sum(chain is g.chain for chain in calls) == 1

@@ -238,7 +238,7 @@ class TestGeneratedSubgroup:
 
 def _closure_chain(g, seeds):
     _gens, chain = _normal_closure_tuples(
-        g._gen_tuples, [s.images for s in seeds], g.degree)
+        [p.images for p in g.generators], [s.images for s in seeds], g.degree)
     return chain
 
 
@@ -270,7 +270,7 @@ class TestNormalClosure:
     def test_result_closed_under_conjugation(self, group):
         g = group("S5")
         gens, nc = _normal_closure_tuples(
-            g._gen_tuples, [perm("(1 2 3)", 5).images], 5)
+            [p.images for p in g.generators], [perm("(1 2 3)", 5).images], 5)
         for h in map(Permutation, gens):
             for gen in g.generators:
                 assert nc.contains_tuple((gen.inverse() * h * gen).images)

@@ -45,13 +45,16 @@ def _derived(gens, degree):
 
 class TestDerivedSubgroup:
     def test_s4(self, group):
-        assert _derived(group("S4")._gen_tuples, 4)[1].order() == 12
+        gens = [p.images for p in group("S4").generators]
+        assert _derived(gens, 4)[1].order() == 12
 
     def test_abelian_gives_trivial(self, group):
-        assert _derived(group("C6")._gen_tuples, 6)[1].order() == 1
+        gens = [p.images for p in group("C6").generators]
+        assert _derived(gens, 6)[1].order() == 1
 
     def test_perfect_group(self, group):
-        assert _derived(group("A5")._gen_tuples, 5)[1].order() == 60
+        gens = [p.images for p in group("A5").generators]
+        assert _derived(gens, 5)[1].order() == 60
 
     def test_matches_full_commutator_brute_force(self, group):
         for name in ("S4", "D10", "F20", "A5"):
@@ -62,11 +65,12 @@ class TestDerivedSubgroup:
                     oracles.inv(a), oracles.inv(b)), a), b)
                 for a in elements for b in elements}
             expected = len(oracles.closure(commutators, g.degree))
-            assert _derived(g._gen_tuples, g.degree)[1].order() == expected
+            gens = [p.images for p in g.generators]
+            assert _derived(gens, g.degree)[1].order() == expected
 
     def test_derived_subgroup_is_normal(self, group):
         g = group("S5")
-        gens, d = _derived(g._gen_tuples, 5)
+        gens, d = _derived([p.images for p in g.generators], 5)
         for h in map(Permutation, gens):
             for gen in g.generators:
                 assert d.contains_tuple((gen.inverse() * h * gen).images)
@@ -89,7 +93,8 @@ class TestSolvability:
         assert is_solvable(h) == is_solvable(g)
         assert len(conjugacy_classes(h)) == 5
         _gens, chain = _normal_closure_tuples(
-            h._gen_tuples, [parse_cycles("(1 2 3)", 5).images], 5)
+            [p.images for p in h.generators],
+            [parse_cycles("(1 2 3)", 5).images], 5)
         assert chain.order() == 60
 
     def test_burnside_two_prime_corpus(self, group):
@@ -111,7 +116,7 @@ class TestSolvability:
 
 def _unbounded_series(handle):
     # _derived closes every chain in full
-    gens, orders = handle._gen_tuples, [handle.order()]
+    gens, orders = [p.images for p in handle.generators], [handle.order()]
     while orders[-1] > 1:
         gens, chain = _derived(gens, handle.degree)
         orders.append(chain.order())
@@ -450,11 +455,12 @@ class TestCentralizer:
             elements = [p.images for p in enumerate_elements(g)]
             for c in conjugacy_classes(g):
                 x = c.representative.images
-                gens = _centralizer_tuples(elements, x, g.order() // c.size)
-                for h in gens:
-                    assert oracles.mult(h, x) == oracles.mult(x, h), name
-                closure = oracles.closure(gens, g.degree)
-                assert len(closure) == g.order() // c.size, (name, c)
+                listed = _centralizer_tuples(elements, x,
+                                             g.order() // c.size)
+                assert len(listed) == len(set(listed)) == g.order() // c.size
+                commuting = {h for h in elements
+                             if oracles.mult(h, x) == oracles.mult(x, h)}
+                assert set(listed) == commuting, (name, c)
 
     def test_sweep_that_ends_short_raises(self, group):
         # an order above |C_G(x)| is never reached by elements commuting
@@ -480,7 +486,7 @@ class TestSmallDegrees:
     @staticmethod
     def _setup(name):
         g = build_group(SMALL_DEGREE_GROUPS[name])
-        return g, oracles.closure(g._gen_tuples, g.degree)
+        return g, oracles.closure([p.images for p in g.generators], g.degree)
 
     def test_enumerate_elements(self, name):
         g, elements = self._setup(name)
@@ -511,7 +517,7 @@ class TestSmallDegrees:
             conjugates = {oracles.mult(oracles.mult(oracles.inv(t), seed), t)
                           for t in elements}
             _gens, closed = _normal_closure_tuples(
-                g._gen_tuples, [seed], g.degree)
+                [p.images for p in g.generators], [seed], g.degree)
             assert set(closed.iter_tuples()) == \
                 oracles.closure(conjugates, g.degree)
 
