@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 VALUE_LIMIT = 2**96
-TRIAL_DIVISION_BOUND = 2**16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
              41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -72,22 +71,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_small_primes: list | None = None
-
-
-def _sieve_primes() -> list:
-    global _small_primes
-    if _small_primes is None:
-        bound = TRIAL_DIVISION_BOUND
-        mask = bytearray([1]) * (bound + 1)
-        mask[0] = mask[1] = 0
-        for i in range(2, math.isqrt(bound) + 1):
-            if mask[i]:
-                mask[i * i::i] = bytearray(len(mask[i * i::i]))
-        _small_primes = [i for i in range(bound + 1) if mask[i]]
-    return _small_primes
-
-
 def _pollard_rho(n: int, power: int) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant).
 
@@ -127,29 +110,19 @@ def _pollard_rho(n: int, power: int) -> int:
 
 
 def _factor(n: int, power: int) -> tuple:
-    # trial division by the sieved primes, then rho on x^power + c
-    factors: list = []
-    remaining = n
-    for p in _sieve_primes():
-        if p * p > remaining:
-            break
-        if remaining % p:
+    # shift out the 2s, then split the odd part by rho on x^power + c
+    twos = (n & -n).bit_length() - 1
+    factors = [2] * twos
+    odd = n >> twos
+    stack = [odd] if odd > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors.append(m)
             continue
-        while remaining % p == 0:
-            factors.append(p)
-            remaining //= p
-        if remaining == 1 or is_prime(remaining):
-            break
-    if remaining > 1:
-        stack = [remaining]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                factors.append(m)
-                continue
-            d = _pollard_rho(m, power)
-            stack.append(d)
-            stack.append(m // d)
+        d = _pollard_rho(m, power)
+        stack.append(d)
+        stack.append(m // d)
     factors.sort()
     return tuple(factors)
 
@@ -157,10 +130,9 @@ def _factor(n: int, power: int) -> tuple:
 def factorize(n: int) -> tuple:
     """Prime factorization of n as a sorted multiset (tuple) of factors.
 
-    Trial division by the sieved primes below 2^16 strips small factors
-    (stopping once ``is_prime`` accepts the cofactor); Pollard rho on
-    x^2 + c splits the rest.  Factors above psi_13 (3.3e24) are strong
-    probable primes.
+    The factors of 2 are shifted out; Pollard rho on x^2 + c splits the
+    odd part, small primes within a few steps.  Factors above psi_13
+    (3.3e24) are strong probable primes.
     """
     if n < 2:
         raise ValueError(f"cannot factor {n}; need n >= 2")
@@ -253,10 +225,10 @@ def _ppd_primes(base: int, e: int) -> tuple:
     so only that (much smaller) factor is factorized.  A prime r of
     Phi_e(base) has order e / r^j mod r for some j >= 0, with j > 0 only
     if r | e, while order e forces r = 1 mod e, so r does not divide e:
-    r is primitive exactly when r does not divide e.  The primes of e and
-    2 lie below 2^16 (e < 96 here), so trial division removes them first;
-    every prime r left for rho has order e mod r, so r is odd and 1 mod e,
-    the shape that x^lcm(2, e) + c needs.
+    r is primitive exactly when r does not divide e.  So every odd prime
+    of Phi_e(base) is 1 mod e, the shape that x^lcm(2, e) + c needs, or
+    divides e (and is at most 96 here), which rho splits off at once.
+    The 2s are shifted out before rho runs.
     """
     if e > 96:
         # base >= 2, so base^e - 1 >= 2^97 - 1: refused before it is formed
@@ -375,9 +347,7 @@ def alternating_pair(m: int) -> tuple:
         p, q = 3, 5
     elif m <= 10:
         p, q = 5, 7
-    elif m <= 13:
-        p, q = smallest_prime_above(m), largest_prime_upto(m)
-    elif m <= 16:
+    elif 14 <= m <= 16:
         p, q = 11, 13
     else:
         p, q = smallest_prime_above(m), largest_prime_upto(m)

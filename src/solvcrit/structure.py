@@ -81,10 +81,10 @@ def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
     """Every element of the centralizer C_G(x), as image tuples.
 
     ``elements`` lists all of G, and ``order`` is |C_G(x)| = |G| / |x^G|
-    (orbit-stabilizer).  The sweep adds each element that commutes with x
-    and lies outside the chain built so far, until the chain's order
-    reaches ``order``; the stopped chain is then complete (see
-    ``StabilizerChain.build``) and lists C_G(x).
+    (orbit-stabilizer).  The sweep hands each element that commutes with
+    x to the chain, whose sift adds it only when it lies outside, until
+    the chain's order reaches ``order``; the stopped chain is then
+    complete (see ``StabilizerChain.build``) and lists C_G(x).
     """
     by_x = _mult_by(x)
     chain = StabilizerChain(len(x))
@@ -92,7 +92,7 @@ def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
     for g in elements:
         if reached == order:
             break
-        if by_x(g) == _mult(g, x) and not chain.contains_tuple(g):
+        if by_x(g) == _mult(g, x):
             chain.extend([g], bound=order)
             reached = chain.order()
     if reached != order:

@@ -9,10 +9,10 @@ import oracles
 from solvcrit import numbertheory
 from solvcrit.numbertheory import (
     LBPD_EMPTY_PAIRS,
-    TRIAL_DIVISION_BOUND,
     PrimePower,
     ValueOutOfRangeError,
     _cyclotomic,
+    _factor,
     _mobius,
     _pollard_rho,
     _ppd_primes,
@@ -85,8 +85,7 @@ class TestFactorize:
     def test_agrees_with_trial_division(self, n):
         assert factorize(n) == oracles.trial_division_factorize(n)
 
-    # primes in (2^16, 10^6): above the trial-division bound, so their
-    # products and squares are split by rho
+    # primes in (2^16, 10^6), whose products and squares rho splits
     _rho_primes = st.integers(min_value=2**16, max_value=999_982).map(
         sympy.nextprime)
 
@@ -98,20 +97,52 @@ class TestFactorize:
                               for _ in range(m))
             assert factorize(n) == tuple(expected)
 
+    # products of powers of primes below 2^16, as q^e - 1 carries them,
+    # times at most one larger prime, each exponent cut to stay below 2^96
+    @given(st.lists(st.tuples(st.integers(min_value=3, max_value=2**16)
+                              .map(sympy.prevprime),
+                              st.integers(min_value=1, max_value=24)),
+                    min_size=1, max_size=6),
+           st.one_of(st.just(1), _rho_primes))
+    @settings(max_examples=200, deadline=None)
+    def test_small_prime_powers_agree_with_sympy(self, powers, big):
+        n = big
+        for p, m in powers:
+            while n * p**m >= 2**96:
+                m -= 1  # the first power always fits at m = 1
+            n *= p**m
+        expected = sorted(r for r, m in sympy.factorint(n).items()
+                          for _ in range(m))
+        assert factorize(n) == tuple(expected)
+
+    @pytest.mark.parametrize("n", [
+        math.factorial(27), 3**60, 5**41, 2**95, 65521**5,
+        math.prod(sympy.primerange(72)),  # the primes up to 71
+    ])
+    def test_many_small_factors(self, n):
+        assert n < 2**96
+        expected = sorted(r for r, m in sympy.factorint(n).items()
+                          for _ in range(m))
+        assert factorize(n) == tuple(expected)
+
+    @pytest.mark.parametrize("k", [2, 6, 22, 96])
+    def test_every_small_n_at_each_power(self, k):
+        for n in range(2, 5000):
+            assert _factor(n, k) == oracles.trial_division_factorize(n), n
+
     @pytest.mark.parametrize("k", [22, 34, 94, 190])
     def test_shaped_rho_splits_primes_one_mod_k(self, k):
-        # the cofactors _ppd_primes hands rho: primes 1 mod k just above
-        # the trial-division bound, where x^k has the fewest images
-        start = (TRIAL_DIVISION_BOUND // k + 1) * k + 1
+        # primes 1 mod k just above 2^16, where x^k has the fewest images
+        start = (2**16 // k + 1) * k + 1
         primes = [p for p in range(start, 4 * start, k) if is_prime(p)][:12]
         for i, p in enumerate(primes):
             for q in primes[i:]:
                 assert _pollard_rho(p * q, k) in (p, q)
 
     def test_cyclotomic_primes_off_the_shape_are_trial_divided(self):
-        # the primes of Phi_e(q) that are not 1 mod lcm(2, e) are 2 and
-        # primes dividing e, all below the bound, so rho only ever sees
-        # primes of the shape its power assumes
+        # the primes of Phi_e(q) that are not 1 mod lcm(2, e) are 2, which
+        # is shifted out, and primes dividing e, which rho splits off at
+        # once; every other prime has the shape its power assumes
         for q in range(2, 17):
             for e in range(1, 25):
                 if q**e >= 2**96:
@@ -123,7 +154,6 @@ class TestFactorize:
                 for r in set(factorize(value)):
                     if r % k != 1:
                         assert r == 2 or e % r == 0, (q, e, r)
-                        assert r < TRIAL_DIVISION_BOUND
 
     def test_shaped_rho_on_base_two_skips_c_one(self):
         # 2^11 = 1 mod Phi_11(2) = 2047 = 23 * 89, so x^22 + 1 fixes the
