@@ -13,6 +13,7 @@ surface.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from collections import deque
@@ -204,17 +205,14 @@ class StabilizerChain:
         representative per level; orbit points are taken in sorted order with
         the top level varying fastest.
         """
-
-        def rec(index: int) -> Iterator[tuple]:
-            if index == len(self._levels):
-                yield self._identity
-                return
-            lv = self._levels[index]
+        elements: Iterable[tuple] = (self._identity,)
+        for lv in reversed(self._levels):
             reps = [lv.transversal[x] for x in sorted(lv.transversal)]
-            for deeper in rec(index + 1):
-                yield from map(_mult_by(deeper), reps)
-
-        return rec(0)
+            # reps is bound per level: the maps run only after this loop
+            elements = itertools.chain.from_iterable(map(
+                lambda deeper, reps=reps: map(_mult_by(deeper), reps),
+                elements))
+        return iter(elements)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,10 +296,9 @@ def _normal_closure_tuples(parent_gens: Sequence[tuple],
                            bound: float = math.inf) -> tuple:
     """Generators of the normal closure, as image tuples, and its chain,
     which stops closing at ``bound`` (see :meth:`StabilizerChain.build`)."""
-    identity = tuple(range(degree))
     chain = StabilizerChain(degree)
     added: list[tuple] = []
-    queue = deque(t for t in seeds if t != identity)
+    queue = deque(seeds)
     conjugators = _conjugators(parent_gens)
     while queue:
         h = queue.popleft()

@@ -133,8 +133,9 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
     ``array("I")``.  The first call walks it and keeps it on the handle;
     every call enumerates G once.  ``unassigned`` maps each element not
     yet in a class to its position; a class is grown from its earliest
-    member by a stack walk that pops each conjugate it reaches from
-    ``unassigned``, and its order is that of its first member.
+    member by a walk over its growing member list that pops each
+    conjugate it reaches from ``unassigned``, and its order is that of its
+    first member.
     """
     elements = list(_element_tuples(group))
     if group._classes is not None:
@@ -147,15 +148,12 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
         if unassigned.pop(start, None) is None:
             continue
         members_idx = [i]
-        stack = [start]
-        while stack:
-            by_t = _mult_by(stack.pop())
+        for k in members_idx:  # conjugates reached are appended
+            by_t = _mult_by(elements[k])
             for g, by_g_inv in conjugators:
-                c = by_g_inv(by_t(g))
-                j = unassigned.pop(c, None)
+                j = unassigned.pop(by_g_inv(by_t(g)), None)
                 if j is not None:
                     members_idx.append(j)
-                    stack.append(c)
         members_idx.sort()
         classes.append((_tuple_order(start), array("I", members_idx)))
     classes.sort(key=lambda c: (c[0], len(c[1]), c[1][0]))

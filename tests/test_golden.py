@@ -9,6 +9,8 @@ scan's element list; any change to the bytes a command prints fails here.
 ``criterion --group A6`` and ``criterion --group psl2:11`` exit 1 by
 design (neither group is solvable), and so do the two refuted pairs, whose
 counterexamples generate solvable subgroups of orders 24 and 21.
+The tsv entries and the ``--help`` texts were recorded before the
+commands began to return their output for ``main`` to render.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
 
@@ -89,6 +91,52 @@ GOLDEN = [
      "22ae013cb25caba2e0bcdf34ce5c31b8a75870c800d1a09be521d3f76e4c1ecc"),
     ("witness search --group M11 --primes", "text", 0,
      "681895b5c3654e7f6e7f12510445cdd65bd6cd9550037eb0dcb39ad5f2e008f3"),
+    ("classes --group M11", "tsv", 0,
+     "31802d9b4e66758560cbdf4e14e67828f1c9532afe2fdc5606c26a12a90854e6"),
+    ("criterion --group A6", "tsv", 1,
+     "39f974132d3a86857d439f60281753a050a0cf701942e8f317eed029aae2d173"),
+    ("witness verify 2 11 --group M11", "tsv", 0,
+     "08f6e6bfdf0cdcc911430b27f6f246c1520de1268f4ac1025d63fc692cecbc68"),
+    ("witness search --group A7 --primes", "tsv", 0,
+     "3ef9c9388d7f82d837087b941bb4b415442d37c3ba2491ddbd06173cacaba02c"),
+    ("ppd 43 17 --basic --large", "tsv", 0,
+     "8e019446ebc4b5f5739b098ffaa5caaf7e2e9f5f7c8595240443c2ec76cf1983"),
+    ("ppd 2 6 --basic", "tsv", 0,
+     "45fd2f9df187bc411dc80df5c4c4844ac00f4dd69bc69453f1893a5d143433d6"),
+    ("zsigmondy-scan 32 20", "tsv", 0,
+     "a1b87649423cb4f5ac3eadadad9a00b9d8826d3d0115c652fd91a824915eee16"),
+    ("verify-table", "tsv", 0,
+     "0c34a47df0263f0d46bfea49a94bfd5158d0bf25b4c143b681414542a5833a9c"),
+]
+
+HELP = [
+    ("", "dcef8c5c7ccd51bbd5697d12a6078f58127f36cb51dabb277bcfa2bb013b3db9"),
+    ("witness",
+     "1cec30db9069e0e10a1baf13198174744ffddda709526fa7eeb8464be705138d"),
+    ("order",
+     "287b8a263a702f944bd9d83fe8d45609c4f62e82532cc64b3bfa774eb7d6ac15"),
+    ("solvable",
+     "fa5b69f21816cb19fd812a87a7c6d7e3bbd144f939c744eb13cd6b77b7b2cc3a"),
+    ("spectrum",
+     "9ec326687e6dfe8e150bdf95fd4e6d11686c536b058ef92981e245040a01b220"),
+    ("classes",
+     "9f39fedbbec62b0d64baaa8a302f5bb144da04763840e67e638432f6d3c8a68e"),
+    ("criterion",
+     "3178e92731679f65875ac70049029f6f223d10772bf32b160ec33c5c0181027b"),
+    ("witness verify",
+     "ebb9e662c446e8e277d73fa7fb8cf744106edc945d793ea8e904a8b08acb1e46"),
+    ("witness search",
+     "89339d9b77194655a2cd3c336ca9cd374593b54d2f18f58064cb4b41717bcb8d"),
+    ("ppd",
+     "3124df3d727bdb37d0be4b593a36878c0fe170fd4e3bc2118eba2333b9d771d0"),
+    ("zsigmondy-scan",
+     "044e5a4b9a19c827665f8c10d08a68c0ec74c9e520e4abbc43cacd3a035e337a"),
+    ("alt-pair",
+     "00ab638e11db75af97f0ab7260bbc7eab8774c858fc7714945e251d644dd202c"),
+    ("phi",
+     "a4ec42eb2bf81953336f4e2a6b6d2673f7f821fe9a3f79a04c2eb3aed9143335"),
+    ("verify-table",
+     "3473cf8448ab7f650531536474c697a3366651f237e66e91934b12ea2cb6caf3"),
 ]
 
 
@@ -96,5 +144,16 @@ GOLDEN = [
                          ids=[f"{c} [{f}]" for c, f, _, _ in GOLDEN])
 def test_golden_output(capsys, command, fmt, code, digest):
     assert main(command.split() + ["--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, digest", HELP,
+                         ids=[c or "solvcrit" for c, _ in HELP])
+def test_golden_help(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    assert exc.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
