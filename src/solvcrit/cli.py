@@ -34,7 +34,7 @@ OK, FAILED, USAGE = 0, 1, 2
 
 
 def _resolve(args) -> GroupHandle:
-    if args.group:
+    if args.group is not None:
         return catalog_group(args.group)
     return load_group_file(args.file)
 

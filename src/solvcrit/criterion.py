@@ -8,27 +8,22 @@ Two predicates drive everything here:
 * ``verify_witness_pair``: do all pairs (x, y) with |x| = a, |y| = b generate
   a nonsolvable subgroup?  Such (a, b) exist in every nonabelian simple group.
 
-Both reduce the pair scan by conjugation equivariance: <x, y> and
-<x^g, y^g> are conjugate, hence share order and solvability.  So one side
-of the scan is fixed to class representatives, and with x fixed, the
-verdict is constant on the orbits of y under conjugation by the centralizer
-C_G(x), since <x, y^c> = <x, y>^c for c in C_G(x).  It is also constant on
-the generators of <y>: <x, y^k> = <x, y> when k is coprime to |y|, and
-(y^c)^k = (y^k)^c, so an orbit closed under both maps is one verdict.
-Both scans run through one core, ``_PairJudge.first_solvable``, which
-judges one y per such orbit and tallies every scanned y with its orbit's
-verdict, so the reports are exactly those of a scan that judges every y.
-Each scan reads one class partition, one enumeration of G.  C_G(x) is
-listed from a chain on elements of that same list that commute with x,
-swept until its order is |G| / |x^G|, and an orbit is marked by
-conjugating y and its coprime powers by every element of C_G(x).  That
-costs phi(|y|) |C_G(x)| conjugations per judged y: the orbit's size times
-the number of c in C_G(x) that normalize <y>, at least |C_G(<x, y>)|.
-Scans are deterministic (enumeration order, first hit wins).  The
-exhaustive recheck of a criterion counterexample judges every distinct
-subgroup <x, y> with (x, y) in the C x D rectangle.  It relies on no
-equivariance, only on the power identity <x^j, y^k> = <x, y> for j, k
-coprime to |x|, |y|: it judges one pair per (<x>, <y>).
+Every pair scan runs through one core, ``_PairJudge.first_solvable``.  With
+x fixed, it judges y in order and gives a nonsolvable verdict to y's orbit
+under coprime powers (<x, y^k> = <x, y> for k coprime to |y|) and under a
+list of conjugators c that keep the verdict.  Every scanned y is tallied
+with its orbit's verdict, so the reports are those of a scan that judges
+every y, and scans are deterministic (enumeration order, first hit wins).
+
+The scans rest on conjugation equivariance, <x^g, y^g> = <x, y>^g: x is a
+class representative and the conjugators are C_G(x), listed from a chain on
+the elements, in the scan's one enumeration of G, that commute with x.
+Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
+
+The exhaustive recheck of a criterion counterexample (C, D) fixes x on the
+side of larger element order, as <x, y> = <y, x>, and conjugates by the
+powers of x, as <x, y^(x^i)> = <x, y>.  Both are equalities of subgroups,
+so every distinct subgroup <x, y> of C x D is still judged.
 
 Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
 solvable group, whose subgroups are all solvable, and a verdict's chain
@@ -44,7 +39,7 @@ from typing import Sequence
 
 from .engine import GroupHandle, StabilizerChain
 from .numbertheory import is_prime
-from .permutation import Permutation, _conjugators, _mult_by
+from .permutation import Permutation, _conjugators, _mult_by, _tuple_order
 from .structure import (
     _centralizer_tuples,
     _class_partition,
@@ -119,9 +114,7 @@ class _PairJudge:
 
     <x, y>'s chain is bounded by |G|, so a pair generating G stops closing
     as soon as its order reaches |G|, and G's solvability is reused without
-    rerunning the derived series.  ``elements`` is G as the scan lists it;
-    the first time a scan needs C_G(x), its elements are listed from a chain
-    swept from that list (``_centralizer_tuples``) and kept.
+    rerunning the derived series.  ``elements`` is G as the scan lists it.
     """
 
     __slots__ = ("degree", "elements", "parent_order", "parent_solvable",
@@ -141,15 +134,26 @@ class _PairJudge:
             return order, self.parent_solvable
         return order, _solvability_tuples((x, y), self.degree, order).solvable
 
-    def first_solvable(self, x: tuple, class_size: int, ys: Sequence[tuple],
+    def centralizer(self, x: tuple, class_size: int) -> list:
+        """C_G(x) as ``_conjugators`` pairs, listed once per x from
+        ``elements`` (``_centralizer_tuples``); ``class_size`` is |x^G|."""
+        if class_size == 1:  # x is central: <x, y> is abelian, never marked
+            return []
+        conjugators = self.centralizers.get(x)
+        if conjugators is None:
+            conjugators = _conjugators(_centralizer_tuples(
+                self.elements, x, self.parent_order // class_size))
+            self.centralizers[x] = conjugators
+        return conjugators
+
+    def first_solvable(self, x: tuple, conjugators: list, ys: Sequence[tuple],
                        outcomes: Counter) -> tuple | None:
         """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
-        ``class_size`` is |x^G|.  Every y on the way, the solvable one
-        included, is tallied in ``outcomes`` with its verdict, so the tally
-        is that of judging each y in turn.  A nonsolvable verdict is given
-        to the whole orbit of y under C_G(x) and coprime powers, and later
-        members of that orbit are tallied without being judged again.
+        Each y up to and including it is tallied in ``outcomes`` with its
+        verdict.  A nonsolvable verdict is given to y's orbit under coprime
+        powers and ``conjugators`` (``_conjugators`` pairs c, for which
+        <x, y^c> must be <x, y> or a conjugate of it): none is judged again.
         """
         known: dict = {}  # orbit member -> its orbit's verdict, once judged
         for y in ys:
@@ -157,26 +161,20 @@ class _PairJudge:
             if verdict is None:
                 verdict = self.verdict(x, y)
                 if not verdict[1]:
-                    self._mark_orbit(x, class_size, y, verdict, known)
+                    _mark_orbit(conjugators, y, verdict, known)
             outcomes[verdict] += 1
             if verdict[1]:
                 return y
         return None
 
-    def _mark_orbit(self, x: tuple, class_size: int, y: tuple,
-                    verdict: tuple, known: dict) -> None:
-        # <x, y^c> = <x, y>^c for c in C_G(x), and <x, y^k> = <x, y> for k
-        # coprime to |y|: one verdict per orbit.  Since (y^c)^k = (y^k)^c,
-        # the orbit is {(y^k)^c}, one conjugate per k and c.
-        conjugators = self.centralizers.get(x)
-        if conjugators is None:
-            conjugators = _conjugators(_centralizer_tuples(
-                self.elements, x, self.parent_order // class_size))
-            self.centralizers[x] = conjugators
-        for z in (y, *_coprime_powers(y)):
-            by_z = _mult_by(z)
-            for c, by_c_inv in conjugators:
-                known[by_c_inv(by_z(c))] = verdict
+
+def _mark_orbit(conjugators: list, y: tuple, verdict: tuple,
+                known: dict) -> None:
+    # (y^k)^c = (y^c)^k, so y's orbit is {(y^k)^c}: one conjugate per k, c
+    for z in (y, *_coprime_powers(y)):
+        by_z = _mult_by(z)
+        for c, by_c_inv in conjugators:
+            known[by_c_inv(by_z(c))] = verdict
 
 
 def check_criterion(group: GroupHandle) -> CriterionReport:
@@ -187,9 +185,8 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
     is C's representative and y ranges over D in enumeration order (sound
     by conjugation equivariance), one y judged per orbit of C_G(x) and of
     coprime powers; ``subgroups_examined`` counts every y scanned.  The
-    first failing pair is rechecked exhaustively over C x D, one pair
-    judged per (<x>, <y>) and no conjugation used, and reported as the
-    counterexample.
+    first failing pair is rechecked over every subgroup <x, y> of C x D
+    (``_recheck_counterexample``) and reported as the counterexample.
     """
     classes = conjugacy_classes(group)
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
@@ -210,8 +207,9 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
 
     for i, class_c in enumerate(classes):
         x = class_c.representative
+        conjugators = judge.centralizer(x.images, class_c.size)
         for j, ys in enumerate(members):
-            y = judge.first_solvable(x.images, class_c.size, ys, tally)
+            y = judge.first_solvable(x.images, conjugators, ys, tally)
             if y is not None:
                 witnesses[(i, j)] = (x, Permutation._wrap(y))
                 continue
@@ -229,26 +227,23 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
                             ys: Sequence[tuple]) -> None:
     """Confirm that no (x, y) in ``xs`` x ``ys`` generates solvably.
 
-    The reduced scan's soundness rests on conjugation equivariance; this
-    recheck uses no conjugation.  Its one assumption is the power identity
-    <x^j, y^k> = <x, y> for j coprime to |x| and k coprime to |y|, so it
-    skips each member that is a coprime power of an earlier member of its
-    own class and judges every remaining pair: every distinct subgroup
-    <x, y> of the rectangle is still judged.
+    It uses only equalities of subgroups, no conjugation equivariance.  As
+    <x, y> = <y, x>, x is fixed on the side of larger element order (``xs``
+    on a tie), at members that are no coprime power of an earlier one.  The
+    powers of x are the conjugators, as <x, y^(x^i)> = <x, y>, so every
+    distinct subgroup <x, y> of the rectangle is judged.
     """
-    ys = _cyclic_representatives(ys)
+    if _tuple_order(xs[0]) < _tuple_order(ys[0]):
+        xs, ys = ys, xs
     for x in _cyclic_representatives(xs):
-        for y in ys:
-            if judge.verdict(x, y)[1]:
-                raise AssertionError(
-                    "reduced scan missed a solvable pair; conjugation "
-                    "equivariance or the power identity violated "
-                    "(engine bug)")
+        if judge.first_solvable(x, _conjugators(_powers(x)), ys,
+                                Counter()) is not None:
+            raise AssertionError("reduced scan missed a solvable pair; "
+                                 "equivariance violated (engine bug)")
 
 
 def _cyclic_representatives(members: Sequence[tuple]) -> list:
     # the members, in order, that are no coprime power of an earlier one
-    # (coprime powers of a skipped member are coprime powers of a kept one)
     powers: set = set()
     kept = []
     for z in members:
@@ -258,16 +253,20 @@ def _cyclic_representatives(members: Sequence[tuple]) -> list:
     return kept
 
 
+def _powers(y: tuple) -> list:
+    """y, y^2, ..., y^|y| = identity."""
+    by_y = _mult_by(y)
+    powers = [y]
+    for _ in range(_tuple_order(y) - 1):
+        powers.append(by_y(powers[-1]))
+    return powers
+
+
 def _coprime_powers(y: tuple) -> list:
     """y^k for 1 < k < |y| with gcd(k, |y|) = 1, in increasing k."""
-    by_y = _mult_by(y)
-    identity = tuple(range(len(y)))
-    powers = [y]  # y^1, ..., y^|y| = identity
-    while powers[-1] != identity:
-        powers.append(by_y(powers[-1]))
-    order = len(powers)
+    powers = _powers(y)
     return [p for k, p in enumerate(powers[1:-1], start=2)
-            if math.gcd(k, order) == 1]
+            if math.gcd(k, len(powers)) == 1]
 
 
 def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
@@ -300,7 +299,8 @@ def _witness_report(judge: _PairJudge, partition: tuple, a: int,
         if order != a:
             continue
         x = elements[positions[0]]
-        y = judge.first_solvable(x, len(positions), ys, outcomes)
+        y = judge.first_solvable(x, judge.centralizer(x, len(positions)), ys,
+                                 outcomes)
         if y is not None:
             counterexample = (Permutation._wrap(x), Permutation._wrap(y))
             break

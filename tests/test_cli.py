@@ -147,6 +147,12 @@ class TestErrors:
         code, _, err = run("order", "--group", "E8")
         assert code == 2 and "error" in err
 
+    def test_empty_group_name_exits_two(self, run):
+        # an empty name is a catalog name too, not a missing --group
+        code, out, err = run("order", "--group", "")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown catalog group ''\n"
+
     def test_missing_file_exits_two(self, run):
         code, _, err = run("order", "--file", "/nonexistent.grp")
         assert code == 2

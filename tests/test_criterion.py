@@ -12,6 +12,7 @@ from solvcrit.criterion import (
     OrderNotInSpectrumError,
     _PairJudge,
     _coprime_powers,
+    _powers,
     _witness_report,
     check_criterion,
     search_witness_pairs,
@@ -100,9 +101,10 @@ class TestSolvableParentShortcut:
                                    for m in c.members])
             witnesses, examined = {}, 0
             for i, c in enumerate(classes):
+                x = c.representative.images
                 for j, d in enumerate(classes):
                     tally = Counter()
-                    y = judge.first_solvable(c.representative.images, c.size,
+                    y = judge.first_solvable(x, judge.centralizer(x, c.size),
                                              [m.images for m in d.members],
                                              tally)
                     witnesses[i, j] = (c.representative, Permutation(y))
@@ -298,7 +300,7 @@ class _CountingJudge(_PairJudge):
 class _UnreducedJudge(_PairJudge):
     """The scan core with no orbit reduction: every y is judged."""
 
-    def first_solvable(self, x, class_size, ys, outcomes):
+    def first_solvable(self, x, conjugators, ys, outcomes):
         for y in ys:
             verdict = self.verdict(x, y)
             outcomes[verdict] += 1
@@ -377,7 +379,7 @@ class TestOrbitReduction:
 
         monkeypatch.setattr(criterion, "_PairJudge", counting)
         check_criterion(group("A6"))
-        assert [len(j.judged) for j in judges] == [759]
+        assert [len(j.judged) for j in judges] == [183]
 
     def test_m12_2_11_full_scan_counts(self, group):
         # ATLAS: M12 has two classes of involutions (2A, 2B) and two classes
@@ -403,6 +405,50 @@ class _PlantedJudge(_PairJudge):
         planted = self.planted
         return order, solvable or (order == len(planted) and x in planted
                                    and y in planted)
+
+
+class _BlindJudge(_CountingJudge):
+    """Records the pairs it judges and calls every subgroup nonsolvable
+    except ``planted``."""
+
+    planted = frozenset()
+
+    def verdict(self, x, y):
+        order = super().verdict(x, y)[0]
+        planted = self.planted
+        return order, (order == len(planted) and x in planted
+                       and y in planted)
+
+
+def _rectangle(g, rectangle):
+    # the member tuples of two classes of g
+    classes = conjugacy_classes(g)
+    if rectangle == "counterexample":
+        refs = check_criterion(g).counterexample
+        pair = (classes[ref.index] for ref in refs)
+    else:
+        pair = (next(c for c in classes if c.order_of_elements == 3
+                     and len(c.representative.support()) == 3),
+                next(c for c in classes if c.order_of_elements == 2))
+    return tuple([m.images for m in c.members] for c in pair)
+
+
+def _subgroups(degree):
+    # <x, y> by brute-force closure, once per pair of cyclic groups
+    cyclic, generated = {}, {}
+
+    def cyclic_of(z):
+        if z not in cyclic:
+            cyclic[z] = frozenset(oracles.closure([z], degree))
+        return cyclic[z]
+
+    def subgroup(x, y):
+        key = frozenset((cyclic_of(x), cyclic_of(y)))
+        if key not in generated:
+            generated[key] = frozenset(oracles.closure([x, y], degree))
+        return generated[key]
+
+    return subgroup
 
 
 class TestRecheck:
@@ -431,55 +477,40 @@ class TestRecheck:
         with pytest.raises(AssertionError, match="reduced scan missed"):
             check_criterion(g)
 
-    def test_recheck_judges_one_pair_per_cyclic_pair(self, group,
-                                                     monkeypatch):
-        recheck = criterion._recheck_counterexample
-        rechecked = []
+    @pytest.mark.parametrize("name, rectangle", [
+        ("A5", "counterexample"), ("A6", "counterexample"),
+        ("A6", "3cycles-involutions")])
+    def test_recheck_judges_every_subgroup_of_the_rectangle(
+            self, group, name, rectangle):
+        # every cell (x, y) generates the same subgroup as some judged pair,
+        # with the classes passed in either order
+        g = group(name)
+        c, d = _rectangle(g, rectangle)
+        subgroup = _subgroups(g.degree)
+        cells = {subgroup(x, y) for x in c for y in d}
+        counts = []
+        for xs, ys in ((c, d), (d, c)):
+            judge = _BlindJudge(g, [p.images for p in enumerate_elements(g)])
+            criterion._recheck_counterexample(judge, xs, ys)
+            assert {subgroup(x, y) for x, y in judge.judged} == cells, name
+            counts.append(len(judge.judged))
+        assert counts[0] == counts[1] < len(c) * len(d), name
 
-        def spy(judge, xs, ys):
-            before = len(judge.judged)
-            recheck(judge, xs, ys)
-            rechecked.append(judge.judged[before:])
-
-        def first_generators(members):
-            # members in order, skipping coprime powers of earlier ones
-            kept, powers = [], set()
-            for m in members:
-                if m not in powers:
-                    kept.append(m)
-                    n = m.order()
-                    powers.update(m ** k for k in range(1, n)
-                                  if math.gcd(k, n) == 1)
-            return [m.images for m in kept]
-
-        cyclic = {}
-
-        def cyclic_of(z):
-            if z not in cyclic:
-                cyclic[z] = frozenset(oracles.closure([z], len(z)))
-            return cyclic[z]
-
-        monkeypatch.setattr(criterion, "_PairJudge", _CountingJudge)
-        monkeypatch.setattr(criterion, "_recheck_counterexample", spy)
-        # A5: 3-cycles are real, so 20 / 2; 5A's squares lie in 5B and its
-        # fourth powers in 5A, so 12 / 2.  A6: 40 / 2 and 72 / 2.
-        for name, count in (("A5", 10 * 6), ("A6", 20 * 36)):
-            g = group(name)
-            report = check_criterion(g)
-            classes = conjugacy_classes(g)
-            c, d = (classes[ref.index].members
-                    for ref in report.counterexample)
-            judged = rechecked.pop()
-            assert not rechecked
-            assert judged == [(x, y) for x in first_generators(c)
-                              for y in first_generators(d)], name
-            assert len(judged) == count, name
-            # every pair of the rectangle shares <x> and <y> with exactly
-            # one judged pair
-            covered = {(cyclic_of(x), cyclic_of(y)) for x, y in judged}
-            assert len(covered) == len(judged), name
-            assert covered == {(cyclic_of(x.images), cyclic_of(y.images))
-                               for x in c for y in d}, name
+    def test_recheck_catches_every_planted_subgroup(self, group):
+        # a judge that calls one subgroup solvable, for each subgroup of the
+        # rectangle: marking by C_G(x) for a 3-cycle x, which is larger than
+        # <x>, would give verdicts to conjugates of <x, y> instead
+        g = group("A6")
+        c, d = _rectangle(g, "3cycles-involutions")
+        subgroup = _subgroups(g.degree)
+        planted = {subgroup(x, y) for x in c for y in d}
+        assert len(planted) == 96
+        elements = [p.images for p in enumerate_elements(g)]
+        for h in planted:
+            judge = _BlindJudge(g, elements)
+            judge.planted = h
+            with pytest.raises(AssertionError, match="reduced scan missed"):
+                criterion._recheck_counterexample(judge, c, d)
 
 
 class TestMarkOrbit:
@@ -497,7 +528,8 @@ class TestMarkOrbit:
         known = {}
         class_size = next(len(positions) for _order, positions in partition
                           if elements[positions[0]] == x)
-        judge._mark_orbit(x, class_size, y, verdict, known)
+        criterion._mark_orbit(judge.centralizer(x, class_size), y, verdict,
+                              known)
 
         n = oracles.tuple_order(y)
         powers, z = [], y
@@ -526,6 +558,8 @@ class TestCoprimePowers:
             expected = [(p ** k).images for k in range(2, n)
                         if math.gcd(k, n) == 1]
             assert _coprime_powers(y) == expected, p
+            assert _powers(y) == [(p ** k).images
+                                  for k in range(1, n + 1)], p
             if n <= 2:
                 assert _coprime_powers(y) == [], p
         assert {1, 2, 4, 5, 8, 11} <= orders

@@ -10,7 +10,9 @@ scan's element list; any change to the bytes a command prints fails here.
 design (neither group is solvable), and so do the two refuted pairs, whose
 counterexamples generate solvable subgroups of orders 24 and 21.
 The tsv entries and the ``--help`` texts were recorded before the
-commands began to return their output for ``main`` to render.
+commands began to return their output for ``main`` to render, and
+``criterion --group M11`` (exit 1, counterexample classes (1, 8)) before
+the counterexample recheck ran through the scan core.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
 
@@ -107,6 +109,10 @@ GOLDEN = [
      "a1b87649423cb4f5ac3eadadad9a00b9d8826d3d0115c652fd91a824915eee16"),
     ("verify-table", "tsv", 0,
      "0c34a47df0263f0d46bfea49a94bfd5158d0bf25b4c143b681414542a5833a9c"),
+    ("criterion --group M11", "text", 1,
+     "655ee2ad1c619de7652988f3214b141f3e812e09a82134ce7636079657d903a4"),
+    ("criterion --group M11", "json", 1,
+     "bde9bcf7914728c1b7cb9dee455101f7c60aaf017849b75cf1b99a9c25d0c663"),
 ]
 
 HELP = [
