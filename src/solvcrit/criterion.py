@@ -9,21 +9,23 @@ Two predicates drive everything here:
   a nonsolvable subgroup?  Such (a, b) exist in every nonabelian simple group.
 
 Every pair scan runs through one core, ``_PairJudge.first_solvable``.  With
-x fixed, it judges y in order and gives a nonsolvable verdict to y's orbit
-under coprime powers (<x, y^k> = <x, y> for k coprime to |y|) and under a
-list of conjugators c that keep the verdict.  Every scanned y is tallied
-with its orbit's verdict, so the reports are those of a scan that judges
+x fixed, it judges y in order and hands each nonsolvable verdict to a
+caller's marking, which settles the y that must share it.  Every scanned y
+is tallied with its verdict, so the reports are those of a scan that judges
 every y, and scans are deterministic (enumeration order, first hit wins).
 
 The scans rest on conjugation equivariance, <x^g, y^g> = <x, y>^g: x is a
-class representative and the conjugators are C_G(x), listed from a chain on
-the elements, in the scan's one enumeration of G, that commute with x.
-Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
+class representative, and y's orbit under coprime powers (<x, y^k> =
+<x, y> for k coprime to |y|) and under C_G(x) is marked.  C_G(x) is listed
+from a chain on the elements, in the scan's one enumeration of G, that
+commute with x.  Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
 
-The exhaustive recheck of a criterion counterexample (C, D) fixes x on the
-side of larger element order, as <x, y> = <y, x>, and conjugates by the
-powers of x, as <x, y^(x^i)> = <x, y>.  Both are equalities of subgroups,
-so every distinct subgroup <x, y> of C x D is still judged.
+The exhaustive recheck of a criterion counterexample (C, D) rests on
+equalities of subgroups alone: replacing a generator by a coprime power of
+itself, or by its conjugate under the other generator, keeps the subgroup,
+<x, y> = <x^k, y> = <y^-1 x y, y> = <x, x^-1 y x>.  One verdict settles
+every cell of C x D that these moves reach, so every distinct subgroup
+<x, y> of the rectangle is still judged.
 
 Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
 solvable group, whose subgroups are all solvable, and a verdict's chain
@@ -33,13 +35,21 @@ stops closing at |G|, which proves <x, y> = G (see ``StabilizerChain``).
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .engine import GroupHandle, StabilizerChain
 from .numbertheory import is_prime
-from .permutation import Permutation, _conjugators, _mult_by, _tuple_order
+from .permutation import (
+    Permutation,
+    _conjugators,
+    _inv,
+    _mult_by,
+    _tuple_order,
+)
 from .structure import (
     _centralizer_tuples,
     _class_partition,
@@ -146,22 +156,24 @@ class _PairJudge:
             self.centralizers[x] = conjugators
         return conjugators
 
-    def first_solvable(self, x: tuple, conjugators: list, ys: Sequence[tuple],
+    def first_solvable(self, x: tuple, mark: Callable, ys: Iterable[tuple],
                        outcomes: Counter) -> tuple | None:
         """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
         Each y up to and including it is tallied in ``outcomes`` with its
-        verdict.  A nonsolvable verdict is given to y's orbit under coprime
-        powers and ``conjugators`` (``_conjugators`` pairs c, for which
-        <x, y^c> must be <x, y> or a conjugate of it): none is judged again.
+        verdict.  A nonsolvable verdict is handed to ``mark(y, verdict,
+        known)``, which settles every y' whose <x, y'> must share it: the
+        scans set ``known[y'] = verdict`` (``_mark_orbit``), and the recheck
+        keeps settled cells in its own record, which its ``ys`` reads.
+        None is judged again.
         """
-        known: dict = {}  # orbit member -> its orbit's verdict, once judged
+        known: dict = {}  # settled y -> its verdict
         for y in ys:
             verdict = known.get(y)
             if verdict is None:
                 verdict = self.verdict(x, y)
                 if not verdict[1]:
-                    _mark_orbit(conjugators, y, verdict, known)
+                    mark(y, verdict, known)
             outcomes[verdict] += 1
             if verdict[1]:
                 return y
@@ -170,7 +182,9 @@ class _PairJudge:
 
 def _mark_orbit(conjugators: list, y: tuple, verdict: tuple,
                 known: dict) -> None:
-    # (y^k)^c = (y^c)^k, so y's orbit is {(y^k)^c}: one conjugate per k, c
+    # the scans' marking: y's orbit under coprime powers and the
+    # ``_conjugators`` pairs c, for which <x, y^c> is a conjugate of <x, y>;
+    # (y^k)^c = (y^c)^k, so the orbit is {(y^k)^c}: one conjugate per k, c
     for z in (y, *_coprime_powers(y)):
         by_z = _mult_by(z)
         for c, by_c_inv in conjugators:
@@ -207,9 +221,9 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
 
     for i, class_c in enumerate(classes):
         x = class_c.representative
-        conjugators = judge.centralizer(x.images, class_c.size)
+        mark = partial(_mark_orbit, judge.centralizer(x.images, class_c.size))
         for j, ys in enumerate(members):
-            y = judge.first_solvable(x.images, conjugators, ys, tally)
+            y = judge.first_solvable(x.images, mark, ys, tally)
             if y is not None:
                 witnesses[(i, j)] = (x, Permutation._wrap(y))
                 continue
@@ -225,32 +239,61 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
 
 def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
                             ys: Sequence[tuple]) -> None:
-    """Confirm that no (x, y) in ``xs`` x ``ys`` generates solvably.
+    """Confirm that no (x, y) in classes ``xs`` x ``ys`` generates solvably.
 
-    It uses only equalities of subgroups, no conjugation equivariance.  As
-    <x, y> = <y, x>, x is fixed on the side of larger element order (``xs``
-    on a tie), at members that are no coprime power of an earlier one.  The
-    powers of x are the conjugators, as <x, y^(x^i)> = <x, y>, so every
+    It uses only equalities of subgroups, no conjugation equivariance.  A
+    generator may be replaced by a coprime power of itself, so the
+    rectangle is walked in cyclic cells: one row per cyclic group <x> and
+    one column per <y>, named by their first members in ``xs`` and ``ys``.
+    A generator may also be replaced by its conjugate under the other, as
+    <x, y> = <x, x^-1 y x> = <y^-1 x y, y>.  Cells are judged in row order
+    through ``first_solvable``, and a nonsolvable verdict settles every cell
+    that these two moves reach.  Each move permutes the cells, so forward
+    moves reach the whole orbit, and one pair is judged per orbit: every
     distinct subgroup <x, y> of the rectangle is judged.
     """
-    if _tuple_order(xs[0]) < _tuple_order(ys[0]):
-        xs, ys = ys, xs
-    for x in _cyclic_representatives(xs):
-        if judge.first_solvable(x, _conjugators(_powers(x)), ys,
+    rows, row_of = _cyclic_cells(xs)
+    cols, col_of = _cyclic_cells(ys)
+    width = len(cols)
+    row_maps = [(_mult_by(x), _mult_by(_inv(x))) for x in rows]
+    col_maps = [(_mult_by(y), _mult_by(_inv(y))) for y in cols]
+    settled = bytearray(len(rows) * width)  # cell r * width + c
+
+    def walk(r: int, y: tuple, _verdict: tuple, _known: dict) -> None:
+        # settle y's cell in row r and every cell the two moves reach
+        cell = r * width + col_of[y]
+        settled[cell] = 1
+        stack = array("I", (cell,))
+        while stack:
+            r, c = divmod(stack.pop(), width)
+            (by_x, by_x_inv), (by_y, by_y_inv) = row_maps[r], col_maps[c]
+            for cell in (r * width + col_of[by_x_inv(by_y(rows[r]))],
+                         row_of[by_y_inv(by_x(cols[c]))] * width + c):
+                if not settled[cell]:
+                    settled[cell] = 1
+                    stack.append(cell)
+
+    for r, x in enumerate(rows):
+        base = r * width
+        unsettled = (y for c, y in enumerate(cols) if not settled[base + c])
+        if judge.first_solvable(x, partial(walk, r), unsettled,
                                 Counter()) is not None:
             raise AssertionError("reduced scan missed a solvable pair; "
                                  "equivariance violated (engine bug)")
 
 
-def _cyclic_representatives(members: Sequence[tuple]) -> list:
-    # the members, in order, that are no coprime power of an earlier one
-    powers: set = set()
+def _cyclic_cells(members: Sequence[tuple]) -> tuple:
+    """The members, in order, that are no coprime power of an earlier one,
+    and a map from each member to the index of the one it is a power of."""
+    index: dict = dict.fromkeys(members)
     kept = []
     for z in members:
-        if z not in powers:
+        if index[z] is None:
+            for p in (z, *_coprime_powers(z)):
+                if p in index:
+                    index[p] = len(kept)
             kept.append(z)
-            powers.update(_coprime_powers(z))
-    return kept
+    return kept, index
 
 
 def _powers(y: tuple) -> list:
@@ -299,8 +342,9 @@ def _witness_report(judge: _PairJudge, partition: tuple, a: int,
         if order != a:
             continue
         x = elements[positions[0]]
-        y = judge.first_solvable(x, judge.centralizer(x, len(positions)), ys,
-                                 outcomes)
+        y = judge.first_solvable(
+            x, partial(_mark_orbit, judge.centralizer(x, len(positions))), ys,
+            outcomes)
         if y is not None:
             counterexample = (Permutation._wrap(x), Permutation._wrap(y))
             break

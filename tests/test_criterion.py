@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -104,7 +105,9 @@ class TestSolvableParentShortcut:
                 x = c.representative.images
                 for j, d in enumerate(classes):
                     tally = Counter()
-                    y = judge.first_solvable(x, judge.centralizer(x, c.size),
+                    mark = partial(criterion._mark_orbit,
+                                   judge.centralizer(x, c.size))
+                    y = judge.first_solvable(x, mark,
                                              [m.images for m in d.members],
                                              tally)
                     witnesses[i, j] = (c.representative, Permutation(y))
@@ -300,7 +303,7 @@ class _CountingJudge(_PairJudge):
 class _UnreducedJudge(_PairJudge):
     """The scan core with no orbit reduction: every y is judged."""
 
-    def first_solvable(self, x, conjugators, ys, outcomes):
+    def first_solvable(self, x, mark, ys, outcomes):
         for y in ys:
             verdict = self.verdict(x, y)
             outcomes[verdict] += 1
@@ -379,7 +382,8 @@ class TestOrbitReduction:
 
         monkeypatch.setattr(criterion, "_PairJudge", counting)
         check_criterion(group("A6"))
-        assert [len(j.judged) for j in judges] == [183]
+        # 39 in the scan and 14 in the recheck, one per orbit of cells
+        assert [len(j.judged) for j in judges] == [53]
 
     def test_m12_2_11_full_scan_counts(self, group):
         # ATLAS: M12 has two classes of involutions (2A, 2B) and two classes
@@ -511,6 +515,57 @@ class TestRecheck:
             judge.planted = h
             with pytest.raises(AssertionError, match="reduced scan missed"):
                 criterion._recheck_counterexample(judge, c, d)
+
+    @pytest.mark.parametrize("name, judged", [
+        ("A6", 14), ("psl2:8", 4), ("psl2:11", 1), ("M11", 14)])
+    def test_recheck_judges_one_pair_per_orbit_of_cells(self, group, name,
+                                                          judged):
+        # the counterexample rectangles: A6 (3A, 5A) has 20 x 36 cyclic
+        # cells and M11 (2A, 11A) 165 x 144; the count is the number of
+        # orbits of the generator moves, the same in either argument order
+        g = group(name)
+        c, d = _rectangle(g, "counterexample")
+        elements = [p.images for p in enumerate_elements(g)]
+        for xs, ys in ((c, d), (d, c)):
+            judge = _CountingJudge(g, elements)
+            criterion._recheck_counterexample(judge, xs, ys)
+            assert len(judge.judged) == judged, name
+
+
+class TestGeneratorMoves:
+    @pytest.mark.parametrize("name", ["A6", "psl2:8"])
+    def test_moves_keep_the_subgroup(self, group, name):
+        # the identities the recheck's walk rests on, by brute-force closure:
+        # <x, y> = <y^-1 x y, y> = <x, x^-1 y x> = <x^k, y> = <x, y^k> for k
+        # coprime to the order of the generator it powers
+        g = group(name)
+        degree = g.degree
+        xs = [c.representative.images for c in conjugacy_classes(g)]
+        elements = [p.images for p in enumerate_elements(g)]
+        ys = random.Random(7).sample(elements, 8)
+
+        def coprime_powers(z):
+            n, powers, p = oracles.tuple_order(z), [], z
+            for k in range(1, n):
+                if math.gcd(k, n) == 1:
+                    powers.append(p)
+                p = oracles.mult(p, z)
+            return powers
+
+        def conjugate(t, by):
+            return oracles.mult(oracles.mult(oracles.inv(by), t), by)
+
+        checked = 0
+        for x in xs[1:]:
+            for y in ys:
+                h = oracles.closure([x, y], degree)
+                moved = [(conjugate(x, y), y), (x, conjugate(y, x))]
+                moved += [(xk, y) for xk in coprime_powers(x)]
+                moved += [(x, yk) for yk in coprime_powers(y)]
+                for pair in moved:
+                    assert oracles.closure(pair, degree) == h, (name, x, y)
+                    checked += 1
+        assert checked > 200, name
 
 
 class TestMarkOrbit:

@@ -12,7 +12,9 @@ counterexamples generate solvable subgroups of orders 24 and 21.
 The tsv entries and the ``--help`` texts were recorded before the
 commands began to return their output for ``main`` to render, and
 ``criterion --group M11`` (exit 1, counterexample classes (1, 8)) before
-the counterexample recheck ran through the scan core.
+the counterexample recheck ran through the scan core, and ``criterion
+--group M12`` (exit 1, counterexample classes (1, 13)) before the recheck
+gave each verdict to the cells its generator moves reach.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
 
@@ -113,6 +115,8 @@ GOLDEN = [
      "655ee2ad1c619de7652988f3214b141f3e812e09a82134ce7636079657d903a4"),
     ("criterion --group M11", "json", 1,
      "bde9bcf7914728c1b7cb9dee455101f7c60aaf017849b75cf1b99a9c25d0c663"),
+    ("criterion --group M12", "json", 1,
+     "fce1a76a1dc2102fa541d869dcaaf9d3909062c24ace42238a499001b9f2dcb2"),
 ]
 
 HELP = [
