@@ -191,11 +191,10 @@ def parse_group_file(text: str) -> GroupSpecFile:
     """Parse the line-oriented group file grammar.
 
     Lines: ``label <string>``, ``degree <int>``, optional ``order <int>``,
-    one ``gen <cycles>`` per generator; ``#`` starts a comment.
+    each at most once, and one ``gen <cycles>`` per generator; ``#``
+    starts a comment.
     """
-    label = None
-    degree = None
-    order = None
+    header: dict = {}  # keyword -> value, each at most once
     gens: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -203,41 +202,39 @@ def parse_group_file(text: str) -> GroupSpecFile:
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
-        if keyword == "label":
-            if not rest:
-                raise GroupFileError("label requires a value", lineno)
-            label = rest
-        elif keyword == "degree":
-            try:
-                degree = int(rest)
-            except ValueError:
-                raise GroupFileError(f"bad degree {rest!r}", lineno) from None
-            if degree < 1:
-                raise GroupFileError("degree must be positive", lineno)
-        elif keyword == "order":
-            try:
-                order = int(rest)
-            except ValueError:
-                raise GroupFileError(f"bad order {rest!r}", lineno) from None
-            if order < 1:
-                raise GroupFileError("order must be positive", lineno)
-        elif keyword == "gen":
-            if degree is None:
+        if keyword == "gen":
+            if "degree" not in header:
                 raise GroupFileError("gen before degree", lineno)
             try:
-                parse_cycles(rest, degree)
+                parse_cycles(rest, header["degree"])
             except ValueError as exc:
                 raise GroupFileError(str(exc), lineno) from None
             gens.append(rest)
+            continue
+        if keyword == "label":
+            if not rest:
+                raise GroupFileError("label requires a value", lineno)
+            value = rest
+        elif keyword in ("degree", "order"):
+            try:
+                value = int(rest)
+            except ValueError:
+                raise GroupFileError(f"bad {keyword} {rest!r}",
+                                     lineno) from None
+            if value < 1:
+                raise GroupFileError(f"{keyword} must be positive", lineno)
         else:
             raise GroupFileError(f"unknown keyword {keyword!r}", lineno)
-    if label is None:
-        raise GroupFileError("missing label")
-    if degree is None:
-        raise GroupFileError("missing degree")
+        if keyword in header:
+            raise GroupFileError(f"repeated {keyword} line", lineno)
+        header[keyword] = value
+    for keyword in ("label", "degree"):
+        if keyword not in header:
+            raise GroupFileError(f"missing {keyword}")
     if not gens:
         raise GroupFileError("no generators")
-    return GroupSpecFile(label, degree, tuple(gens), order)
+    return GroupSpecFile(header["label"], header["degree"], tuple(gens),
+                         header.get("order"))
 
 
 def load_group(spec: GroupSpecFile) -> GroupHandle:

@@ -34,7 +34,6 @@ stops closing at |G|, which proves <x, y> = G (see ``StabilizerChain``).
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -45,10 +44,11 @@ from .engine import GroupHandle, StabilizerChain
 from .numbertheory import is_prime
 from .permutation import (
     Permutation,
+    _conjugates,
     _conjugators,
+    _coprime_powers,
     _inv,
     _mult_by,
-    _tuple_order,
 )
 from .structure import (
     _centralizer_tuples,
@@ -186,9 +186,7 @@ def _mark_orbit(conjugators: list, y: tuple, verdict: tuple,
     # ``_conjugators`` pairs c, for which <x, y^c> is a conjugate of <x, y>;
     # (y^k)^c = (y^c)^k, so the orbit is {(y^k)^c}: one conjugate per k, c
     for z in (y, *_coprime_powers(y)):
-        by_z = _mult_by(z)
-        for c, by_c_inv in conjugators:
-            known[by_c_inv(by_z(c))] = verdict
+        known.update(dict.fromkeys(_conjugates(z, conjugators), verdict))
 
 
 def check_criterion(group: GroupHandle) -> CriterionReport:
@@ -294,22 +292,6 @@ def _cyclic_cells(members: Sequence[tuple]) -> tuple:
                     index[p] = len(kept)
             kept.append(z)
     return kept, index
-
-
-def _powers(y: tuple) -> list:
-    """y, y^2, ..., y^|y| = identity."""
-    by_y = _mult_by(y)
-    powers = [y]
-    for _ in range(_tuple_order(y) - 1):
-        powers.append(by_y(powers[-1]))
-    return powers
-
-
-def _coprime_powers(y: tuple) -> list:
-    """y^k for 1 < k < |y| with gcd(k, |y|) = 1, in increasing k."""
-    powers = _powers(y)
-    return [p for k, p in enumerate(powers[1:-1], start=2)
-            if math.gcd(k, len(powers)) == 1]
 
 
 def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:

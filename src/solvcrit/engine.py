@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from .permutation import (
     DegreeMismatchError,
     Permutation,
+    _conjugates,
     _conjugators,
     _inv,
     _mult,
@@ -42,7 +43,11 @@ def enumeration_cap() -> int:
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
     if cap < 1:
         raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {cap}")
     return cap
@@ -306,13 +311,9 @@ def _normal_closure_tuples(parent_gens: Sequence[tuple],
             continue
         chain.extend([h], bound=bound)
         added.append(h)
-        by_h = _mult_by(h)
-        for g, by_g_inv in conjugators:
-            queue.append(by_g_inv(by_h(g)))
+        queue.extend(_conjugates(h, conjugators))
     for h in added:
-        by_h = _mult_by(h)
-        for g, by_g_inv in conjugators:
-            if not chain.contains_tuple(by_g_inv(by_h(g))):
-                raise AssertionError(
-                    "normal closure not conjugation-closed (builder bug)")
+        if not all(map(chain.contains_tuple, _conjugates(h, conjugators))):
+            raise AssertionError(
+                "normal closure not conjugation-closed (builder bug)")
     return added, chain

@@ -5,8 +5,8 @@ Points are 1-based in every public surface (cycle strings, ``support``,
 package-wide, as left-to-right application: ``(p * q)`` means "apply p,
 then q", i.e. ``(p * q)(x) = q(p(x))``.
 
-The private kernel below is the only compose, invert and order code in the
-package.  Composition runs at C speed: ``_mult_by(p)`` is
+The private kernel below is the only compose, invert, conjugate, power and
+order code in the package.  Composition runs at C speed: ``_mult_by(p)`` is
 ``operator.itemgetter(*p)``, the map q -> p * q, since
 ``(p * q)[i] = q[p[i]]``.  A hot loop with a fixed left factor builds that
 getter once and calls it per element; ``_mult(p, q)`` builds it per call.
@@ -51,12 +51,19 @@ def _inv(p: tuple) -> tuple:
 
 
 def _conjugators(gens: Sequence[tuple]) -> list:
-    """(g, by_g_inv) for each g, with by_g_inv = _mult_by(g^-1) prebuilt.
-
-    The conjugate t^g = g^-1 * t * g is then ``by_g_inv(by_t(g))``, where
-    ``by_t = _mult_by(t)`` is built once per t and serves every g.
-    """
+    """(g, by_g_inv) for each g, with by_g_inv = _mult_by(g^-1) prebuilt,
+    for ``_conjugates``; build it once per conjugating set."""
     return [(g, _mult_by(_inv(g))) for g in gens]
+
+
+def _conjugates(t: tuple, conjugators: Sequence[tuple]) -> list:
+    """t^g = g^-1 * t * g for each g of ``_conjugators``, in order.
+
+    ``by_g_inv(by_t(g))``: ``by_t = _mult_by(t)`` is built once per t and
+    serves every g.
+    """
+    by_t = _mult_by(t)
+    return [by_g_inv(by_t(g)) for g, by_g_inv in conjugators]
 
 
 def _tuple_order(p: tuple) -> int:
@@ -75,6 +82,22 @@ def _tuple_order(p: tuple) -> int:
             j = p[j]
         order = math.lcm(order, length)
     return order
+
+
+def _powers(y: tuple) -> list:
+    """y, y^2, ..., y^|y| = identity."""
+    by_y = _mult_by(y)
+    powers = [y]
+    for _ in range(_tuple_order(y) - 1):
+        powers.append(by_y(powers[-1]))
+    return powers
+
+
+def _coprime_powers(y: tuple) -> list:
+    """y^k for 1 < k < |y| with gcd(k, |y|) = 1, in increasing k."""
+    powers = _powers(y)
+    return [p for k, p in enumerate(powers[1:-1], start=2)
+            if math.gcd(k, len(powers)) == 1]
 
 
 def _check_degrees(p: "Permutation", q: "Permutation") -> None:

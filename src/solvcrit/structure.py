@@ -15,6 +15,7 @@ from .engine import (
 )
 from .permutation import (
     Permutation,
+    _conjugates,
     _conjugators,
     _inv,
     _mult,
@@ -62,18 +63,12 @@ class OrderSpectrum:
     group_order: int
 
 
-def _commutator_tuples(gens: Sequence[tuple], degree: int) -> list[tuple]:
-    """Distinct nontrivial commutators a^-1 b^-1 a b, in (a, b) order."""
+def _commutator_tuples(gens: Sequence[tuple]) -> list[tuple]:
+    """The commutators a^-1 b^-1 a b, in (a, b) order; the normal closure
+    skips the identity and repeats, which its chain already contains."""
     pairs = [(_inv(g), g) for g in gens]
-    seen = {tuple(range(degree))}
-    out = []
-    for a_inv, a in pairs:
-        for b_inv, b in pairs:
-            c = _mult(_mult(_mult(a_inv, b_inv), a), b)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+    return [_mult(_mult(_mult(a_inv, b_inv), a), b)
+            for a_inv, a in pairs for b_inv, b in pairs]
 
 
 def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
@@ -109,7 +104,7 @@ def _solvability_tuples(gen_tuples: Sequence[tuple], degree: int,
         # the derived subgroup lies in the current term, whose order bounds
         # its chain: a perfect term stops closing at its own order
         gens, chain = _normal_closure_tuples(
-            gens, _commutator_tuples(gens, degree), degree, bound=orders[-1])
+            gens, _commutator_tuples(gens), degree, bound=orders[-1])
         next_order = chain.order()
         if next_order == orders[-1]:
             # the series is stuck at a perfect nontrivial subgroup
@@ -149,9 +144,8 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
             continue
         members_idx = [i]
         for k in members_idx:  # conjugates reached are appended
-            by_t = _mult_by(elements[k])
-            for g, by_g_inv in conjugators:
-                j = unassigned.pop(by_g_inv(by_t(g)), None)
+            for t in _conjugates(elements[k], conjugators):
+                j = unassigned.pop(t, None)
                 if j is not None:
                     members_idx.append(j)
         members_idx.sort()

@@ -160,12 +160,27 @@ class TestGroupFiles:
         ("degree 0", "line 2: degree must be positive"),
         ("order x", "line 2: bad order 'x'"),
         ("order 0", "line 2: order must be positive"),
+        ("degree 4", "line 2: repeated degree line"),
     ])
     def test_bad_line_is_refused_with_its_number(self, line, message):
         with pytest.raises(GroupFileError) as err:
             parse_group_file(f"degree 5\n{line}\ngen (1 2)\n")
         assert str(err.value) == message
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("text,message", [
+        # a second degree would load generators checked at another degree
+        ("label X\ndegree 3\ngen (1 2 3)\ndegree 4\norder 3\n",
+         "line 4: repeated degree line"),
+        ("label X\ndegree 3\nlabel Y\ngen (1 2 3)\n",
+         "line 3: repeated label line"),
+        ("label X\norder 3\ndegree 3\ngen (1 2 3)\norder 6\n",
+         "line 5: repeated order line"),
+    ])
+    def test_repeated_header_line_is_refused(self, text, message):
+        with pytest.raises(GroupFileError) as err:
+            parse_group_file(text)
+        assert str(err.value) == message
 
     def test_missing_degree_is_named(self):
         with pytest.raises(GroupFileError) as err:

@@ -230,6 +230,13 @@ class TestEnumCapEnv:
         assert code == 2 and out == ""
         assert err == "error: SOLVCRIT_ENUM_CAP must be positive, got 0\n"
 
+    def test_non_integer_cap_is_named(self, run, monkeypatch):
+        monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "abc")
+        code, out, err = run("classes", "--group", "A5")
+        assert code == 2 and out == ""
+        assert err == ("error: SOLVCRIT_ENUM_CAP must be an integer, "
+                       "got 'abc'\n")
+
 
 class TestImportCost:
     def test_import_starts_no_process_machinery(self):

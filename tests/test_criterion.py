@@ -12,15 +12,18 @@ from solvcrit.criterion import (
     CriterionReport,
     OrderNotInSpectrumError,
     _PairJudge,
-    _coprime_powers,
-    _powers,
     _witness_report,
     check_criterion,
     search_witness_pairs,
     verify_witness_pair,
 )
 from solvcrit.engine import StabilizerChain, build_group, enumerate_elements
-from solvcrit.permutation import Permutation, parse_cycles
+from solvcrit.permutation import (
+    Permutation,
+    _coprime_powers,
+    _powers,
+    parse_cycles,
+)
 from solvcrit.structure import (
     _class_partition,
     conjugacy_classes,
@@ -483,7 +486,8 @@ class TestRecheck:
 
     @pytest.mark.parametrize("name, rectangle", [
         ("A5", "counterexample"), ("A6", "counterexample"),
-        ("A6", "3cycles-involutions")])
+        ("A6", "3cycles-involutions"), ("SL(2,5)", "counterexample"),
+        ("A5xA5", "counterexample"), ("A5xC6", "counterexample")])
     def test_recheck_judges_every_subgroup_of_the_rectangle(
             self, group, name, rectangle):
         # every cell (x, y) generates the same subgroup as some judged pair,
@@ -517,12 +521,14 @@ class TestRecheck:
                 criterion._recheck_counterexample(judge, c, d)
 
     @pytest.mark.parametrize("name, judged", [
-        ("A6", 14), ("psl2:8", 4), ("psl2:11", 1), ("M11", 14)])
+        ("A6", 14), ("psl2:8", 4), ("psl2:11", 1), ("M11", 14),
+        ("A5wrC2", 2)])
     def test_recheck_judges_one_pair_per_orbit_of_cells(self, group, name,
                                                           judged):
         # the counterexample rectangles: A6 (3A, 5A) has 20 x 36 cyclic
-        # cells and M11 (2A, 11A) 165 x 144; the count is the number of
-        # orbits of the generator moves, the same in either argument order
+        # cells, M11 (2A, 11A) 165 x 144 and A5 wr C2 60 x 60, each of which
+        # generates the whole group; the count is the number of orbits of
+        # the generator moves, the same in either argument order
         g = group(name)
         c, d = _rectangle(g, "counterexample")
         elements = [p.images for p in enumerate_elements(g)]
@@ -530,6 +536,25 @@ class TestRecheck:
             judge = _CountingJudge(g, elements)
             criterion._recheck_counterexample(judge, xs, ys)
             assert len(judge.judged) == judged, name
+
+
+class TestNonsimpleGroups:
+    """The criterion on nonsolvable groups that are not simple: SL(2, 5)
+    and A5 x C6 have a nontrivial centre, A5 x A5 and A5 wr C2 two
+    nonabelian composition factors (see conftest)."""
+
+    @pytest.mark.parametrize("name", ["SL(2,5)", "A5xA5", "A5wrC2", "A5xC6"])
+    def test_criterion_fails_as_the_full_scan_reports(self, group,
+                                                       monkeypatch, name):
+        g = group(name)
+        report = check_criterion(g)
+        assert not report.holds and report.counterexample_rechecked
+        # the reduced run has rechecked the rectangle; the unreduced one
+        # would judge each of its cyclic cells, 3600 in A5 wr C2
+        monkeypatch.setattr(criterion, "_PairJudge", _UnreducedJudge)
+        monkeypatch.setattr(criterion, "_recheck_counterexample",
+                            lambda *args: None)
+        assert check_criterion(g) == report
 
 
 class TestGeneratorMoves:

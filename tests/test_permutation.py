@@ -3,10 +3,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from solvcrit.engine import enumerate_elements
 from solvcrit.permutation import (
     CycleParseError,
     DegreeMismatchError,
     Permutation,
+    _conjugates,
     _conjugators,
     _mult_by,
     format_cycles,
@@ -146,6 +148,20 @@ class TestAlgebra:
         expected = oracles.mult(oracles.mult(oracles.inv(g.images), t.images),
                                 g.images)
         assert by_g_inv(_mult_by(t.images)(g.images)) == expected
+
+    @pytest.mark.parametrize("name, step", [("A5", 1), ("C1", 1),
+                                            ("C300", 10)])
+    def test_conjugates_match_permutation_conjugation(self, group, name,
+                                                      step):
+        # C1 is where _mult_by returns tuple, C300 is past degree 256; there
+        # every t meets every step-th g
+        elements = list(enumerate_elements(group(name)))
+        gs = elements[::step]
+        conjugators = _conjugators([g.images for g in gs])
+        inverses = [g.inverse() for g in gs]
+        for t in elements:
+            assert _conjugates(t.images, conjugators) == [
+                (g_inv * t * g).images for g, g_inv in zip(gs, inverses)]
 
     def test_pow(self):
         p = parse_cycles("(1 2 3 4 5)", 5)

@@ -39,7 +39,7 @@ def _derived(gens, degree):
     # [G, G] as the normal closure of the generators' commutators, closed
     # in full, with its order from a fresh chain on the closure's generators
     closure, _chain = _normal_closure_tuples(
-        gens, structure._commutator_tuples(gens, degree), degree)
+        gens, structure._commutator_tuples(gens), degree)
     return closure, StabilizerChain.build(closure, degree)
 
 
