@@ -8,6 +8,11 @@ p^(ke) - 1.  The *large* variants keep only primes r > e + 1, together with
 the composite (e+1)^2 when e + 1 is itself a (basic) primitive prime divisor
 and (e+1)^2 divides q^e - 1.
 
+The alternating group on m points gets the prime pair (smallest prime above
+m/2, largest prime at most m), or (m/2, the one prime in (m/2, m]) for
+m = 6 and m = 10, the only m >= 5 with fewer than two primes there (the
+Ramanujan prime R_2 is 11).
+
 Inputs are range-checked against VALUE_LIMIT (2^96).  Primes above psi_13
 (about 3.3e24) are only strong probable primes to the bases 2..97.
 """
@@ -22,6 +27,7 @@ VALUE_LIMIT = 2**96
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
              41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_TRIAL_PRIMES = _MR_BASES[:12]  # 2..37
 
 
 class ValueOutOfRangeError(ValueError):
@@ -48,7 +54,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
@@ -230,14 +236,14 @@ def _ppd_primes(base: int, e: int) -> tuple:
     divides e (and is at most 96 here), which rho splits off at once.
     The 2s are shifted out before rho runs.
     """
+    if e < 1:
+        raise ValueError("e must be at least 1")
     if e > 96:
         # base >= 2, so base^e - 1 >= 2^97 - 1: refused before it is formed
         raise ValueOutOfRangeError(
             f"{base}^{e} - 1 is not below 2**96; refusing to factor")
     _check_range(base ** e - 1, f"{base}^{e} - 1")
     value = _cyclotomic(e, base)
-    if value == 1:
-        return ()
     return tuple(r for r in sorted(set(_factor(value, math.lcm(2, e))))
                  if e % r)
 
@@ -245,16 +251,12 @@ def _ppd_primes(base: int, e: int) -> tuple:
 def ppd(q, e: int) -> DivisorSet:
     """Primitive prime divisors of q^e - 1."""
     qq = _as_prime_power(q)
-    if e < 1:
-        raise ValueError("e must be at least 1")
     return DivisorSet("ppd", qq, e, _ppd_primes(qq.q, e))
 
 
 def bppd(q, e: int) -> DivisorSet:
     """Basic primitive prime divisors of q^e - 1: those of p^(ke) - 1."""
     qq = _as_prime_power(q)
-    if e < 1:
-        raise ValueError("e must be at least 1")
     return DivisorSet("bppd", qq, e, _ppd_primes(qq.p, qq.k * e))
 
 
@@ -316,14 +318,6 @@ def lbpd_empty_closed_form(q, e: int) -> bool:
     return (qq.q, e) in LBPD_EMPTY_PAIRS
 
 
-def smallest_prime_above(bound_twice: int) -> int:
-    """Smallest prime p with 2p > bound_twice (i.e. p > bound_twice / 2)."""
-    p = bound_twice // 2 + 1
-    while not is_prime(p):
-        p += 1
-    return p
-
-
 def largest_prime_upto(n: int) -> int:
     while n >= 2 and not is_prime(n):
         n -= 1
@@ -335,22 +329,22 @@ def largest_prime_upto(n: int) -> int:
 def alternating_pair(m: int) -> tuple:
     """The prime pair (p, q) attached to the alternating group on m points.
 
-    Explicit small-range choices: (3, 5) for m in 5..6, (5, 7) for m in
-    7..10 and (11, 13) for m in 14..16; elsewhere q is the largest prime
-    at most m and p the smallest prime above m/2.  Always m/2 <= p < q <= m,
-    with equality only inside the explicit windows (m = 6 and m = 10; for
-    m = 6 no two primes lie strictly between m/2 and m at all).
+    p is the smallest prime above m/2 and q the largest prime at most m,
+    except for m = 6 and m = 10, which take (3, 5) and (5, 7): (m/2, m]
+    holds two primes for every m >= 5 but those two, since the Ramanujan
+    prime R_2 is 11 (Ramanujan 1919).  Always m/2 <= p < q <= m, with
+    equality only at m = 6 and m = 10.  m >= 2^96 is refused.
     """
+    _check_range(m, "m")
     if m < 5:
         raise ValueError("need m >= 5")
-    if m <= 6:
-        p, q = 3, 5
-    elif m <= 10:
-        p, q = 5, 7
-    elif 14 <= m <= 16:
-        p, q = 11, 13
+    if m in (6, 10):
+        p, q = (3, 5) if m == 6 else (5, 7)
     else:
-        p, q = smallest_prime_above(m), largest_prime_upto(m)
+        p = m // 2 + 1
+        while not is_prime(p):
+            p += 1
+        q = largest_prime_upto(m)
     if not (2 * p >= m and p < q <= m):
         raise AssertionError(
             f"pair ({p}, {q}) violates m/2 <= p < q <= m for m={m}")

@@ -148,3 +148,17 @@ def naive_cyclotomic(k: int, q: int) -> int:
         if k % d == 0:
             value //= naive_cyclotomic(d, q)
     return value
+
+
+def alternating_pair(m: int) -> tuple:
+    """The least and greatest primes in (m/2, m], from a sieve; when that
+    interval holds a single prime, (m/2, that prime)."""
+    sieve = bytearray([1]) * (m + 1)
+    sieve[:2] = b"\0\0"
+    for d in range(2, math.isqrt(m) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, m + 1, d)))
+    primes = [r for r in range(m // 2 + 1, m + 1) if sieve[r]]
+    if len(primes) >= 2:
+        return primes[0], primes[-1]
+    return m // 2, primes[0]

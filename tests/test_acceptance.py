@@ -43,6 +43,7 @@ EQUIVALENCE_CORPUS = (
     [f"C{n}" for n in range(1, 13)]
     + [f"D{n}" for n in range(1, 13)]
     + ["S3", "S4", "S5", "A4", "A5", "A6", "F20", "psl2:5", "psl2:7"]
+    + ["SL(2,5)", "A5xA5", "A5wrC2", "A5xC6"]
 )
 
 ENGINE_CORPUS = EQUIVALENCE_CORPUS + ["psl2:8", "psl2:11", "A7", "A8", "M11"]

@@ -165,6 +165,12 @@ class TestErrors:
         code, _, err = run("ppd", "3", "1000000")
         assert code == 2 and "3^1000000 - 1" in err
 
+    def test_alt_pair_out_of_range_exits_two(self, run):
+        code, out, err = run("alt-pair", str(2**96))
+        assert (code, out) == (2, "")
+        assert err == (f"error: m {2**96} is not below 2**96; "
+                       "refusing to factor\n")
+
     def test_workers_flag_is_a_usage_error(self, capsys):
         for argv in (["criterion", "--group", "A5"],
                      ["witness", "verify", "3", "5", "--group", "A5"],

@@ -504,15 +504,23 @@ class TestRecheck:
             counts.append(len(judge.judged))
         assert counts[0] == counts[1] < len(c) * len(d), name
 
-    def test_recheck_catches_every_planted_subgroup(self, group):
+    @pytest.mark.parametrize("name, rectangle, subgroups", [
+        ("A6", "3cycles-involutions", 96), ("SL(2,5)", "counterexample", 1),
+        ("A5xA5", "counterexample", 1), ("A5xC6", "counterexample", 1)],
+        ids=["A6", "SL(2,5)", "A5xA5", "A5xC6"])
+    def test_recheck_catches_every_planted_subgroup(self, group, name,
+                                                    rectangle, subgroups):
         # a judge that calls one subgroup solvable, for each subgroup of the
         # rectangle: marking by C_G(x) for a 3-cycle x, which is larger than
-        # <x>, would give verdicts to conjugates of <x, y> instead
-        g = group("A6")
-        c, d = _rectangle(g, "3cycles-involutions")
+        # <x>, would give verdicts to conjugates of <x, y> instead.  Every
+        # cell of the nonsimple groups' rectangles generates one subgroup:
+        # SL(2, 5) itself, or one A5 factor, whose centralizer is the other
+        # factor
+        g = group(name)
+        c, d = _rectangle(g, rectangle)
         subgroup = _subgroups(g.degree)
         planted = {subgroup(x, y) for x in c for y in d}
-        assert len(planted) == 96
+        assert len(planted) == subgroups, name
         elements = [p.images for p in enumerate_elements(g)]
         for h in planted:
             judge = _BlindJudge(g, elements)
@@ -555,6 +563,24 @@ class TestNonsimpleGroups:
         monkeypatch.setattr(criterion, "_recheck_counterexample",
                             lambda *args: None)
         assert check_criterion(g) == report
+
+    @pytest.mark.parametrize("name, pairs, verified", [
+        ("SL(2,5)", [(3, 5), (6, 10), (4, 5)], [True, True, False]),
+        ("A5xA5", [(3, 5), (10, 6), (5, 6)], [False, False, False]),
+        ("A5wrC2", [(4, 15), (4, 5), (3, 5)], [True, False, False]),
+        ("A5xC6", [(5, 3), (10, 3), (15, 6)], [False, False, False])],
+        ids=["SL(2,5)", "A5xA5", "A5wrC2", "A5xC6"])
+    def test_witness_reports_match_full_scan(self, group, monkeypatch, name,
+                                             pairs, verified):
+        # refuted pairs end past the first y: after 143 pairs for (10, 6) in
+        # A5 x A5, and 11 for (5, 3) and (10, 3) in A5 x C6
+        g = group(name)
+        reduced = [verify_witness_pair(g, a, b) for a, b in pairs]
+        assert [r.verified for r in reduced] == verified
+        monkeypatch.setattr(criterion, "_PairJudge", _UnreducedJudge)
+        full = [verify_witness_pair(g, a, b) for a, b in pairs]
+        assert [_witness_fields(r) for r in reduced] == \
+            [_witness_fields(r) for r in full], name
 
 
 class TestGeneratorMoves:

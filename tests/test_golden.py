@@ -14,7 +14,9 @@ commands began to return their output for ``main`` to render, and
 ``criterion --group M11`` (exit 1, counterexample classes (1, 8)) before
 the counterexample recheck ran through the scan core, and ``criterion
 --group M12`` (exit 1, counterexample classes (1, 13)) before the recheck
-gave each verdict to the cells its generator moves reach.
+gave each verdict to the cells its generator moves reach.  ``alt-pair``
+6, 10 and 16 were recorded while ``alternating_pair`` still read its pairs
+for m <= 16 from hard-coded windows.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
 
@@ -117,6 +119,18 @@ GOLDEN = [
      "bde9bcf7914728c1b7cb9dee455101f7c60aaf017849b75cf1b99a9c25d0c663"),
     ("criterion --group M12", "json", 1,
      "fce1a76a1dc2102fa541d869dcaaf9d3909062c24ace42238a499001b9f2dcb2"),
+    ("alt-pair 6", "text", 0,
+     "16416d85f7730af391988a69c627ad0e7fd975e14690b94a15706d106ef4f056"),
+    ("alt-pair 6", "json", 0,
+     "86b842ac8a68ee83d34b870bbd87c73cf06130e679ec3786a00fb5a1b82a856f"),
+    ("alt-pair 10", "text", 0,
+     "0cda58963c91ffa9f77ca5e937af2bbea96198dc735a7a1babbcd9aef8b10c7d"),
+    ("alt-pair 10", "json", 0,
+     "a762e252149f7320fd7f175e56dccfda41b6ad41366c6f87183ccacf8f96e172"),
+    ("alt-pair 16", "text", 0,
+     "ee20737ae707cbe775acaa0392f3fbadfb42235fd0af915e91ce78856e670e34"),
+    ("alt-pair 16", "json", 0,
+     "6f6ae76208a637ae6861ec1d1a22a999051fc3c794a5a8d0bf60916c3a47d012"),
 ]
 
 HELP = [

@@ -171,7 +171,9 @@ class TestRangeRefusals:
         lambda: cyclotomic_value(120, 10**40),
         lambda: ppd(3, 10**6),
         lambda: bppd(3, 10**6),
-    ], ids=["factorize", "cyclotomic_value", "ppd", "bppd"])
+        lambda: alternating_pair(2**96),
+    ], ids=["factorize", "cyclotomic_value", "ppd", "bppd",
+            "alternating_pair"])
     def test_refused_with_range_error(self, call):
         with pytest.raises(ValueOutOfRangeError):
             call()
@@ -191,9 +193,12 @@ class TestArgumentRefusals:
     @pytest.mark.parametrize("call,message", [
         (lambda: ppd(4, 0), "e must be at least 1"),
         (lambda: bppd(4, 0), "e must be at least 1"),
+        (lambda: lpd(4, 0), "e must be at least 1"),
+        (lambda: lbpd(4, 0), "e must be at least 1"),
         (lambda: cyclotomic_value(3, 1), "need q >= 2"),
         (lambda: largest_prime_upto(1), "no prime available"),
-    ], ids=["ppd", "bppd", "cyclotomic_value", "largest_prime_upto"])
+    ], ids=["ppd", "bppd", "lpd", "lbpd", "cyclotomic_value",
+            "largest_prime_upto"])
     def test_refused_with_message(self, call, message):
         with pytest.raises(ValueError) as raised:
             call()
@@ -395,6 +400,12 @@ class TestAlternatingPair:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             alternating_pair(4)
+
+    def test_matches_sieve_oracle(self):
+        # the exact pair, not only some valid one: the least and greatest
+        # primes in (m/2, m], or (m/2, q) where q is the only prime there
+        for m in range(5, 3001):
+            assert alternating_pair(m) == oracles.alternating_pair(m), m
 
     @given(st.integers(min_value=5, max_value=500))
     @settings(max_examples=200)
