@@ -224,9 +224,9 @@ class StabilizerChain:
 class GroupHandle:
     """An immutable permutation group: generators plus an eagerly built chain.
 
-    ``_classes`` holds the conjugacy classes as (element order, member
-    positions) once a class or scan query has walked them; see
-    :func:`solvcrit.structure._class_partition`.
+    ``_classes`` is the class record of ``structure._class_partition``,
+    written by the first ``conjugacy_classes``, ``elements_of_order``,
+    ``check_criterion``, ``verify_witness_pair`` or ``search_witness_pairs``.
     """
 
     generators: tuple

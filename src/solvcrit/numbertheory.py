@@ -39,8 +39,7 @@ def _check_range(n: int, what: str = "value") -> None:
         # past 2048 bits the value is named by its size: Python may refuse
         # to print it (its int-to-str limit is 640 digits at the lowest)
         shown = n if n.bit_length() <= 2048 else f"of {n.bit_length()} bits"
-        raise ValueOutOfRangeError(
-            f"{what} {shown} is not below 2**96; refusing to factor")
+        raise ValueOutOfRangeError(f"{what} {shown} is not below 2**96")
 
 
 def is_prime(n: int) -> bool:
@@ -240,8 +239,7 @@ def _ppd_primes(base: int, e: int) -> tuple:
         raise ValueError("e must be at least 1")
     if e > 96:
         # base >= 2, so base^e - 1 >= 2^97 - 1: refused before it is formed
-        raise ValueOutOfRangeError(
-            f"{base}^{e} - 1 is not below 2**96; refusing to factor")
+        raise ValueOutOfRangeError(f"{base}^{e} - 1 is not below 2**96")
     _check_range(base ** e - 1, f"{base}^{e} - 1")
     value = _cyclotomic(e, base)
     return tuple(r for r in sorted(set(_factor(value, math.lcm(2, e))))

@@ -125,12 +125,13 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
 
     The record lists the conjugacy classes in ``conjugacy_classes`` order
     as (element order, sorted member positions), the positions an
-    ``array("I")``.  The first call walks it and keeps it on the handle;
-    every call enumerates G once.  ``unassigned`` maps each element not
-    yet in a class to its position; a class is grown from its earliest
-    member by a walk over its growing member list that pops each
-    conjugate it reaches from ``unassigned``, and its order is that of its
-    first member.
+    ``array("I")``.  This is its one writer: ``conjugacy_classes``,
+    ``elements_of_order``, ``check_criterion``, ``verify_witness_pair`` and
+    ``search_witness_pairs`` call it, and the first call on a handle walks
+    the record and keeps it there; every call enumerates G once.  Each
+    class grows from its earliest member by a walk over its member list
+    that pops every conjugate it reaches from ``unassigned`` (element ->
+    position); its order is that of its first member.
     """
     elements = list(_element_tuples(group))
     if group._classes is not None:
@@ -181,9 +182,12 @@ def conjugacy_classes(group: GroupHandle) -> list:
 def order_spectrum(group: GroupHandle) -> OrderSpectrum:
     """oe(G): the exact set of element orders of the group.
 
-    Read from the class record once the handle has one, enumerating
-    nothing (the cap is still checked); on a fresh handle one order sweep
-    over G, which stores nothing, so a one-off query never pays the walk.
+    Read from the class record once the handle has one (the cap is still
+    checked).  A fresh handle gets one sweep of G's element orders and no
+    record: ``solvcrit spectrum`` needs nothing more, and on M12 the sweep
+    takes under half the walk's time.  The record is written by
+    ``conjugacy_classes``, ``elements_of_order``, ``check_criterion``,
+    ``verify_witness_pair`` and ``search_witness_pairs``.
     """
     record = group._classes
     if record is None:
@@ -197,18 +201,14 @@ def order_spectrum(group: GroupHandle) -> OrderSpectrum:
 def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order.
 
-    Filtered by the class record once the handle has one, else by each
-    element's order, computed again on every call; neither path writes
-    the record, so a caller asking for many orders builds it first with
-    ``conjugacy_classes``.
+    Filtered by the class record, which a call on a fresh handle walks
+    and keeps, as ``conjugacy_classes``, ``check_criterion``,
+    ``verify_witness_pair`` and ``search_witness_pairs`` do.
     """
     if m < 1:
         raise ValueError("order must be positive")
-    record = group._classes
-    # generators, so the enumeration runs as the caller iterates
-    if record is None:
-        return (Permutation._wrap(t) for t in _element_tuples(group)
-                if _tuple_order(t) == m)
+    record = group._classes or _class_partition(group)[1]
+    # a generator, so the enumeration runs as the caller iterates
     wanted = {k for order, positions in record if order == m
               for k in positions}
     return (Permutation._wrap(t)

@@ -581,6 +581,54 @@ class TestNonsimpleGroups:
         full = [verify_witness_pair(g, a, b) for a, b in pairs]
         assert [_witness_fields(r) for r in reduced] == \
             [_witness_fields(r) for r in full], name
+        _check_witness_reports_by_oracle(g, reduced)
+
+
+def _cyclic(z):
+    # the elements of <z>, by repeated multiplication
+    powers, p = {z}, oracles.mult(z, z)
+    while p != z:
+        powers.add(p)
+        p = oracles.mult(p, z)
+    return frozenset(powers)
+
+
+def _check_witness_reports_by_oracle(g, reports):
+    # every refuted report's counterexample generates a solvable subgroup,
+    # tallied once; a verified report's outcome multiset is that of each
+    # class representative of order a against every element of order b.
+    # <x, y> depends only on <x> and <y>, so closures are memoized by
+    # those, and each subgroup's derived series is run once
+    degree = g.degree
+    closures, verdicts = {}, {}  # (<x>, <y>) -> <x, y>; <x, y> -> solvable
+
+    def outcome(x, y):
+        key = (_cyclic(x), _cyclic(y))
+        if key not in closures:
+            closures[key] = frozenset(oracles.closure([x, y], degree))
+        h = closures[key]
+        if h not in verdicts:
+            verdicts[h] = oracles.brute_is_solvable(h, degree)
+        return len(h), verdicts[h]
+
+    for report in reports:
+        a, b = report.a, report.b
+        if not report.verified:
+            x, y = (p.images for p in report.counterexample)
+            assert (oracles.tuple_order(x), oracles.tuple_order(y)) == (a, b)
+            order, solvable = outcome(x, y)
+            assert solvable
+            assert {k: n for k, n in report.outcome_orders.items()
+                    if k[1]} == {(order, True): 1}
+        elif g.order() < 7200:
+            # A5 wr C2's (4, 15) would take 960 closures of order 7,200
+            elements = oracles.closure([p.images for p in g.generators],
+                                       degree)
+            reps = [min(c) for c in oracles.conjugacy_partition(elements)
+                    if oracles.tuple_order(next(iter(c))) == a]
+            ys = [y for y in elements if oracles.tuple_order(y) == b]
+            assert report.outcome_orders == dict(
+                Counter(outcome(x, y) for x in reps for y in ys))
 
 
 class TestGeneratorMoves:

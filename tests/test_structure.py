@@ -1,3 +1,4 @@
+import functools
 import random
 from types import GeneratorType
 
@@ -19,7 +20,7 @@ from solvcrit.engine import (
     build_group,
     enumerate_elements,
 )
-from solvcrit.permutation import Permutation, _tuple_order, parse_cycles
+from solvcrit.permutation import Permutation, parse_cycles
 from solvcrit.structure import (
     _centralizer_tuples,
     _class_partition,
@@ -288,9 +289,12 @@ class TestElementsOfOrder:
 INDEX_GROUPS = ["A6", "psl2:8", "M11", "S5", "C300"]
 
 
-def _brute_orders(g):
-    """(element, order) over the enumeration, outside the class record."""
-    return [(p, _tuple_order(p.images)) for p in enumerate_elements(g)]
+@functools.cache
+def _brute_orders(name):
+    """(element, order) over the enumeration of a new handle, each order
+    from the oracle, so the filter shares no code with what it checks."""
+    return [(p, oracles.tuple_order(p.images))
+            for p in enumerate_elements(catalog_group(name))]
 
 
 def _count_calls(monkeypatch, name):
@@ -323,7 +327,7 @@ class TestOrderIndex:
         g = catalog_group(name)
         if seeded:
             conjugacy_classes(g)
-        brute = _brute_orders(g)
+        brute = _brute_orders(name)
         spectrum = tuple(sorted({o for _p, o in brute}))
 
         def check_elements():
@@ -341,12 +345,14 @@ class TestOrderIndex:
 
     def test_elements_of_order_is_a_generator(self):
         # a generator runs its enumeration as the caller iterates, on a
-        # fresh handle and on one with a class record
+        # fresh handle, where the call walks and keeps the class record,
+        # and on one whose record conjugacy_classes wrote
         g = catalog_group("A5")
         assert type(elements_of_order(g, 5)) is GeneratorType
-        assert g._classes is None
-        conjugacy_classes(g)
-        assert type(elements_of_order(g, 5)) is GeneratorType
+        assert g._classes is not None
+        recorded = catalog_group("A5")
+        conjugacy_classes(recorded)
+        assert type(elements_of_order(recorded, 5)) is GeneratorType
 
 
 class TestClassRecord:
@@ -376,18 +382,21 @@ class TestClassRecord:
         assert len(orders) <= len(g._classes)
 
     @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
-    def test_fresh_order_queries_do_not_walk(self, monkeypatch, name):
-        # a one-off spectrum or order query sweeps G and stores nothing
+    def test_fresh_order_queries_walk_once(self, monkeypatch, name):
+        # a one-off spectrum sweeps G, one order per element, and stores
+        # nothing; the first order query walks the classes, one order per
+        # class, and every later one reads that record
         g = catalog_group(name)
         walks = _count_calls(monkeypatch, "_conjugators")
         orders = _count_calls(monkeypatch, "_tuple_order")
         spectrum = order_spectrum(g).orders
-        for m in spectrum:
-            list(elements_of_order(g, m))
         assert walks == []
         assert g._classes is None
-        # one order per element for the spectrum and for each order query
-        assert len(orders) == g.order() * (1 + len(spectrum))
+        assert len(orders) == g.order()
+        for m in spectrum:
+            list(elements_of_order(g, m))
+        assert len(walks) == 1
+        assert len(orders) <= g.order() + len(g._classes)
 
     @pytest.mark.parametrize("name", ["A6", "psl2:8", "M11"])
     def test_record_changes_no_result(self, name):
@@ -398,7 +407,9 @@ class TestClassRecord:
         a, b = ORDER_PAIRS[name]
         assert verify_witness_pair(recorded, a, b).verified
         assert recorded._classes is not None
-        queries = [conjugacy_classes, lambda g: verify_witness_pair(g, a, b)]
+        queries = [conjugacy_classes, lambda g: verify_witness_pair(g, a, b),
+                   lambda g: [list(elements_of_order(g, m))
+                              for m in order_spectrum(g).orders]]
         if name != "M11":
             queries += [lambda g: search_witness_pairs(g, True),
                         check_criterion]
