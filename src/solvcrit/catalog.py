@@ -14,7 +14,7 @@ from importlib import resources
 
 from .engine import GroupHandle, build_group
 from .numbertheory import PrimePower
-from .permutation import Permutation, parse_cycles
+from .permutation import Permutation, _decimal, parse_cycles
 
 
 class GroupFileError(ValueError):
@@ -192,7 +192,7 @@ def parse_group_file(text: str) -> GroupSpecFile:
 
     Lines: ``label <string>``, ``degree <int>``, optional ``order <int>``,
     each at most once, and one ``gen <cycles>`` per generator; ``#``
-    starts a comment.
+    starts a comment.  Each ``<int>`` is ASCII decimal digits.
     """
     header: dict = {}  # keyword -> value, each at most once
     gens: list = []
@@ -217,7 +217,7 @@ def parse_group_file(text: str) -> GroupSpecFile:
             value = rest
         elif keyword in ("degree", "order"):
             try:
-                value = int(rest)
+                value = _decimal(rest)
             except ValueError:
                 raise GroupFileError(f"bad {keyword} {rest!r}",
                                      lineno) from None
@@ -257,14 +257,14 @@ def _shipped_group(name: str) -> GroupHandle:
 
 
 _CATALOG_PATTERNS = (
-    (re.compile(r"^A(\d+)$"), lambda m: make_alternating(int(m.group(1)))),
-    (re.compile(r"^S(\d+)$"), lambda m: make_symmetric(int(m.group(1)))),
-    (re.compile(r"^C(\d+)$"), lambda m: make_cyclic(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m: make_dihedral(int(m.group(1)))),
-    (re.compile(r"^F20$"), lambda m: make_frobenius20()),
-    (re.compile(r"^psl2:(\d+)$"), lambda m: make_psl2(int(m.group(1)))),
-    (re.compile(r"^M11$"), lambda m: _shipped_group("m11")),
-    (re.compile(r"^M12$"), lambda m: _shipped_group("m12")),
+    (re.compile(r"A([0-9]+)"), lambda m: make_alternating(int(m.group(1)))),
+    (re.compile(r"S([0-9]+)"), lambda m: make_symmetric(int(m.group(1)))),
+    (re.compile(r"C([0-9]+)"), lambda m: make_cyclic(int(m.group(1)))),
+    (re.compile(r"D([0-9]+)"), lambda m: make_dihedral(int(m.group(1)))),
+    (re.compile(r"F20"), lambda m: make_frobenius20()),
+    (re.compile(r"psl2:([0-9]+)"), lambda m: make_psl2(int(m.group(1)))),
+    (re.compile(r"M11"), lambda m: _shipped_group("m11")),
+    (re.compile(r"M12"), lambda m: _shipped_group("m12")),
 )
 
 
@@ -272,7 +272,7 @@ def catalog_group(name: str) -> GroupHandle:
     """Resolve a catalog name like ``A5``, ``S6``, ``D10``, ``C12``,
     ``F20``, ``psl2:7``, ``M11`` or ``M12`` to a built group."""
     for pattern, builder in _CATALOG_PATTERNS:
-        match = pattern.match(name)
+        match = pattern.fullmatch(name)
         if match:
             return builder(match)
     raise UnknownGroupError(f"unknown catalog group {name!r}")

@@ -9,7 +9,8 @@ across runs.
 
 Each ``_cmd_*`` returns ``(exit code, payload, rows, lines)``: the JSON
 payload, the tsv rows and the text lines.  :func:`main` prints the one
-that ``--format`` names.
+that ``--format`` names.  The commands that act on a group also take its
+handle, which :func:`_run` resolves and labels.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from . import numbertheory as nt
 from .catalog import catalog_group, load_group_file
 from .criterion import check_criterion, search_witness_pairs, verify_witness_pair
-from .engine import EnumerationCapExceeded, GroupHandle
+from .engine import EnumerationCapExceeded
 from .structure import conjugacy_classes, is_solvable, order_spectrum
 from .tables import (
     FAIL,
@@ -33,67 +34,71 @@ from .tables import (
 OK, FAILED, USAGE = 0, 1, 2
 
 
-def _resolve(args) -> GroupHandle:
+def _run(args):
+    """The command's exit code, payload, rows and lines.
+
+    A group command gets the handle that ``--group`` or ``--file`` names.
+    Its payload carries the handle's label, and its first text line
+    starts with that label, or with ``group`` when the handle has none.
+    """
+    if not args.takes_group:
+        return args.func(args)
     if args.group is not None:
-        return catalog_group(args.group)
-    return load_group_file(args.file)
+        group = catalog_group(args.group)
+    else:
+        group = load_group_file(args.file)
+    code, payload, rows, lines = args.func(args, group)
+    payload["label"] = group.label
+    lines[0] = f"{group.label or 'group'}: {lines[0]}"
+    return code, payload, rows, lines
 
 
-def _cmd_order(args):
-    group = _resolve(args)
+def _cmd_order(args, group):
     order = group.order()
-    return (OK, {"label": group.label, "degree": group.degree, "order": order},
-            [[order]], [f"{group.label or 'group'}: order {order}"])
+    return (OK, {"degree": group.degree, "order": order}, [[order]],
+            [f"order {order}"])
 
 
-def _cmd_solvable(args):
-    group = _resolve(args)
+def _cmd_solvable(args, group):
     result = is_solvable(group)
     verdict = "solvable" if result.solvable else "nonsolvable"
     orders = list(map(str, result.series_orders))
     return (OK,
-            {"label": group.label, "solvable": result.solvable,
+            {"solvable": result.solvable,
              "derived_series_orders": list(result.series_orders)},
             [[verdict, ",".join(orders)]],
-            [f"{group.label or 'group'}: {verdict}",
-             "derived series orders: " + " -> ".join(orders)])
+            [verdict, "derived series orders: " + " -> ".join(orders)])
 
 
-def _cmd_spectrum(args):
-    group = _resolve(args)
+def _cmd_spectrum(args, group):
     spec = order_spectrum(group)
     return (OK,
-            {"label": group.label, "group_order": spec.group_order,
+            {"group_order": spec.group_order,
              "element_orders": list(spec.orders)},
             [spec.orders],
-            [f"{group.label or 'group'}: order {spec.group_order}, "
+            [f"order {spec.group_order}, "
              f"element orders {{{', '.join(map(str, spec.orders))}}}"])
 
 
-def _cmd_classes(args):
-    group = _resolve(args)
+def _cmd_classes(args, group):
     rows = [(i, c.order_of_elements, c.size, str(c.representative))
             for i, c in enumerate(conjugacy_classes(group))]
-    payload = {"label": group.label,
-               "classes": [{"index": i, "element_order": o, "size": s,
+    payload = {"classes": [{"index": i, "element_order": o, "size": s,
                             "representative": r} for i, o, s, r in rows]}
-    lines = [f"{group.label or 'group'}: {len(rows)} conjugacy classes"]
+    lines = [f"{len(rows)} conjugacy classes"]
     lines += [f"  #{i}: element order {o}, size {s}, rep {r}"
               for i, o, s, r in rows]
     return OK, payload, rows, lines
 
 
-def _cmd_criterion(args):
-    group = _resolve(args)
+def _cmd_criterion(args, group):
     report = check_criterion(group)
     payload = {
-        "label": group.label,
         "holds": report.holds,
         "class_pairs_checked": report.pairs_checked,
         "subgroups_examined": report.subgroups_examined,
     }
-    lines = [f"{group.label or 'group'}: criterion "
-             f"{'holds' if report.holds else 'fails'} "
+    lines = [f"criterion {'holds' if report.holds else 'fails'} "
              f"({report.pairs_checked} class pairs checked)"]
     if report.holds:
         return OK, payload, [["holds", report.pairs_checked]], lines
@@ -112,21 +117,19 @@ def _cmd_criterion(args):
             [["fails", report.pairs_checked, c.index, d.index]], lines)
 
 
-def _cmd_witness_verify(args):
-    group = _resolve(args)
+def _cmd_witness_verify(args, group):
     report = verify_witness_pair(group, args.a, args.b)
     outcomes = sorted(
         (order, solvable, count)
         for (order, solvable), count in report.outcome_orders.items())
     payload = {
-        "label": group.label, "a": report.a, "b": report.b,
+        "a": report.a, "b": report.b,
         "verified": report.verified, "pairs_checked": report.pairs_checked,
         "outcomes": [{"order": o, "solvable": s, "count": c}
                      for o, s, c in outcomes]}
     rows = [(o, "solvable" if s else "nonsolvable", c)
             for o, s, c in outcomes]
-    lines = [f"{group.label or 'group'}: witness pair "
-             f"({args.a}, {args.b}) "
+    lines = [f"witness pair ({args.a}, {args.b}) "
              f"{'verified' if report.verified else 'REFUTED'} "
              f"({report.pairs_checked} pairs checked)"]
     lines += [f"  subgroup order {o} ({kind}): {c} pairs"
@@ -138,17 +141,16 @@ def _cmd_witness_verify(args):
     return OK if report.verified else FAILED, payload, rows, lines
 
 
-def _cmd_witness_search(args):
-    group = _resolve(args)
+def _cmd_witness_search(args, group):
     pairs = search_witness_pairs(group, restrict_to_primes=args.primes)
     kind = "prime witness pairs" if args.primes else "witness pairs"
     if pairs:
         body = ", ".join(f"({a}, {b})" for a, b in pairs)
-        line = f"{group.label or 'group'}: {kind}: {body}"
+        line = f"{kind}: {body}"
     else:
-        line = f"{group.label or 'group'}: no {kind}"
+        line = f"no {kind}"
     return (OK,
-            {"label": group.label, "primes_only": args.primes,
+            {"primes_only": args.primes,
              "witness_pairs": [list(p) for p in pairs]},
             pairs, [line])
 
@@ -224,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solvability criteria and nonsolvable witness pairs "
                     "for finite permutation groups")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = []  # (parser, takes a group)
+    commands = []
 
     def command(subparsers, name, func, help_text, *ints, group=False):
         p = subparsers.add_parser(name, help=help_text)
         for dest in ints:
             p.add_argument(dest, type=int)
-        p.set_defaults(func=func)
-        commands.append((p, group))
+        p.set_defaults(func=func, takes_group=group)
+        commands.append(p)
         return p
 
     command(sub, "order", _cmd_order, "group order", group=True)
@@ -269,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="table path (default: shipped sporadic table)")
 
     # after each command's own arguments, so --help lists them last
-    for p, group in commands:
-        if group:
+    for p in commands:
+        if p.get_default("takes_group"):
             sel = p.add_mutually_exclusive_group(required=True)
             sel.add_argument("--group", help="catalog name, e.g. A5, S6, "
                                              "D10, C12, F20, psl2:7, M11")
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, payload, rows, lines = args.func(args)
+        code, payload, rows, lines = _run(args)
         if args.format == "json":
             lines = [json.dumps(payload, sort_keys=True)]
         elif args.format == "tsv":

@@ -224,9 +224,8 @@ class StabilizerChain:
 class GroupHandle:
     """An immutable permutation group: generators plus an eagerly built chain.
 
-    ``_classes`` is the class record of ``structure._class_partition``,
-    written by the first ``conjugacy_classes``, ``elements_of_order``,
-    ``check_criterion``, ``verify_witness_pair`` or ``search_witness_pairs``.
+    ``_classes`` is the class record; ``structure._class_partition``
+    writes it and names its callers.
     """
 
     generators: tuple

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 VALUE_LIMIT = 2**96
 
@@ -349,36 +348,12 @@ def alternating_pair(m: int) -> tuple:
     return p, q
 
 
-def _mobius(n: int) -> int:
-    # trial division: n divides a cyclotomic index, which is small
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return -mu if n > 1 else mu
-
-
-def divisors(n: int) -> Iterator[int]:
-    """Divisors of n in increasing order."""
-    small, big = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                big.append(n // d)
-    yield from small
-    yield from reversed(big)
-
-
 def cyclotomic_value(k: int, q: int) -> int:
     """The k-th cyclotomic polynomial evaluated at q, for k <= 120.
 
-    Computed exactly from the Moebius product over divisors of k:
-    the product of (q^d - 1)^mu(k/d)."""
+    Computed exactly by recursion on the least prime p of k = p*m:
+    Phi_1(q) = q - 1, and Phi_k(q) = Phi_m(q^p), divided by Phi_m(q)
+    when p does not divide m."""
     if not 1 <= k <= 120:
         raise ValueError("need 1 <= k <= 120")
     if q < 2:
@@ -389,18 +364,18 @@ def cyclotomic_value(k: int, q: int) -> int:
 
 
 def _cyclotomic(k: int, q: int) -> int:
-    # Phi_k(q), unchecked: the product of (q^d - 1)^mu(k/d) over d | k
-    numerator = 1
-    denominator = 1
-    for d in divisors(k):
-        mu = _mobius(k // d)
-        if mu == 1:
-            numerator *= q ** d - 1
-        elif mu == -1:
-            denominator *= q ** d - 1
-    value, rem = divmod(numerator, denominator)
+    # Phi_k(q), unchecked; the recursion is as deep as k has prime
+    # factors (six for k = 64), and (q^p)^m = q^k bounds every power formed
+    if k == 1:
+        return q - 1
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    m = k // p
+    value = _cyclotomic(m, q ** p)
+    if m % p == 0:
+        return value
+    value, rem = divmod(value, _cyclotomic(m, q))
     if rem:
-        raise AssertionError("cyclotomic product did not divide exactly")
+        raise AssertionError("cyclotomic quotient did not divide exactly")
     return value
 
 

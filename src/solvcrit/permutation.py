@@ -100,6 +100,15 @@ def _coprime_powers(y: tuple) -> list:
             if math.gcd(k, len(powers)) == 1]
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int when it is ASCII digits only ([0-9]+), else
+    ValueError: ``int`` would also take a sign, underscores, surrounding
+    whitespace and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _check_degrees(p: "Permutation", q: "Permutation") -> None:
     if p.degree != q.degree:
         raise DegreeMismatchError(
@@ -122,7 +131,7 @@ class Permutation:
             if not 0 <= x < n or seen[x]:
                 raise ValueError(f"images {img!r} are not a bijection of 0..{n - 1}")
             seen[x] = True
-        object.__setattr__(self, "_images", img)
+        self._images = img
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -134,7 +143,7 @@ class Permutation:
     def _wrap(cls, images: tuple) -> "Permutation":
         # fast path for internally-produced image tuples, skips validation
         p = object.__new__(cls)
-        object.__setattr__(p, "_images", images)
+        p._images = images
         return p
 
     @property
@@ -222,9 +231,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation into a permutation of {1..degree}.
 
     Grammar: ``perm := cycle*`` with ``cycle := '(' int (ws int)* ')'``;
-    integers are decimal 1-based points, whitespace-separated.  Points may
-    appear in at most one cycle; unlisted points are fixed.  The empty
-    string and ``()`` both denote the identity.
+    integers are 1-based points in ASCII decimal, whitespace-separated.
+    Points may appear in at most one cycle; unlisted points are fixed.  The
+    empty string and ``()`` both denote the identity.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -248,7 +257,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         points = []
         for token in body.split():
             try:
-                point = int(token)
+                point = _decimal(token)
             except ValueError:
                 raise CycleParseError(f"invalid point {token!r}") from None
             if not 1 <= point <= degree:

@@ -185,9 +185,8 @@ def order_spectrum(group: GroupHandle) -> OrderSpectrum:
     Read from the class record once the handle has one (the cap is still
     checked).  A fresh handle gets one sweep of G's element orders and no
     record: ``solvcrit spectrum`` needs nothing more, and on M12 the sweep
-    takes under half the walk's time.  The record is written by
-    ``conjugacy_classes``, ``elements_of_order``, ``check_criterion``,
-    ``verify_witness_pair`` and ``search_witness_pairs``.
+    takes under half the walk's time.  ``_class_partition`` lists the
+    queries that write the record.
     """
     record = group._classes
     if record is None:
@@ -202,8 +201,7 @@ def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order.
 
     Filtered by the class record, which a call on a fresh handle walks
-    and keeps, as ``conjugacy_classes``, ``check_criterion``,
-    ``verify_witness_pair`` and ``search_witness_pairs`` do.
+    and keeps, as every caller of ``_class_partition`` does.
     """
     if m < 1:
         raise ValueError("order must be positive")

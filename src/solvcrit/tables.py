@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 from .catalog import UnknownGroupError, catalog_group
 from .criterion import WitnessReport, verify_witness_pair
 from .engine import GroupHandle, enumeration_cap
+from .permutation import _decimal
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -66,7 +67,7 @@ def parse_expected_table(text: str) -> list:
 
     Columns: group label, a, b, comma-separated outcome labels,
     comma-separated allowed orders, scale (``desk`` or ``beyond-desk``).
-    ``#`` lines are comments.
+    The integers are ASCII decimal digits; ``#`` lines are comments.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -79,8 +80,8 @@ def parse_expected_table(text: str) -> list:
                 f"expected 6 tab-separated columns, got {len(parts)}", lineno)
         label, a_s, b_s, outcomes, orders, scale = parts
         try:
-            a, b = int(a_s), int(b_s)
-            allowed = frozenset(int(x) for x in orders.split(","))
+            a, b = _decimal(a_s), _decimal(b_s)
+            allowed = frozenset(map(_decimal, orders.split(",")))
         except ValueError:
             raise TableFormatError("bad integer field", lineno) from None
         if scale not in ("desk", "beyond-desk"):

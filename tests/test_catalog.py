@@ -161,6 +161,9 @@ class TestGroupFiles:
         ("order x", "line 2: bad order 'x'"),
         ("order 0", "line 2: order must be positive"),
         ("degree 4", "line 2: repeated degree line"),
+        ("degree +3", "line 2: bad degree '+3'"),
+        ("order 0_3", "line 2: bad order '0_3'"),
+        ("order \u0666\u0660", "line 2: bad order '\u0666\u0660'"),
     ])
     def test_bad_line_is_refused_with_its_number(self, line, message):
         with pytest.raises(GroupFileError) as err:
@@ -211,6 +214,14 @@ class TestCatalogNames:
     def test_unknown_name(self):
         with pytest.raises(UnknownGroupError):
             catalog_group("E8")
+
+    @pytest.mark.parametrize("name", [
+        "A5\n", "A\u0665", "psl2:\u0661\u0661", "M11\n",
+    ])
+    def test_names_match_whole_with_ascii_digits(self, name):
+        with pytest.raises(UnknownGroupError) as err:
+            catalog_group(name)
+        assert str(err.value) == f"unknown catalog group {name!r}"
 
     def test_shipped_files_pass_their_gates(self):
         # loading forces the order gate; a bad file would raise

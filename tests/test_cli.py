@@ -189,16 +189,29 @@ def _child_env(**extra) -> dict:
 
 
 class TestDeterminismAcrossProcesses:
-    def _capture_twice(self, *argv):
-        return [subprocess.run([sys.executable, "-m", "solvcrit", *argv],
+    def _python_twice(self, *argv):
+        return [subprocess.run([sys.executable, *argv],
                                capture_output=True, text=True,
                                env=_child_env(PYTHONHASHSEED=seed))
                 for seed in ("0", "1")]
+
+    def _capture_twice(self, *argv):
+        return self._python_twice("-m", "solvcrit", *argv)
 
     def test_criterion_output_identical(self):
         one, two = self._capture_twice(
             "criterion", "--group", "S4", "--format", "json")
         assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout
+
+    def test_failing_criterion_report_identical(self):
+        # M11 fails the criterion, so the repr holds every witness pair,
+        # the rechecked counterexample and the counts
+        one, two = self._python_twice(
+            "-c", "from solvcrit import catalog_group, check_criterion\n"
+                  "print(repr(check_criterion(catalog_group('M11'))))")
+        assert one.returncode == two.returncode == 0
+        assert "holds=False" in one.stdout
         assert one.stdout == two.stdout
 
     def test_witness_output_identical(self):

@@ -13,13 +13,11 @@ from solvcrit.numbertheory import (
     ValueOutOfRangeError,
     _cyclotomic,
     _factor,
-    _mobius,
     _pollard_rho,
     _ppd_primes,
     alternating_pair,
     bppd,
     cyclotomic_value,
-    divisors,
     factorize,
     is_mersenne_prime,
     is_prime,
@@ -435,18 +433,23 @@ class TestCyclotomic:
 
     def test_product_over_divisors(self):
         for k in range(1, 31):
+            divisors = [d for d in range(1, k + 1) if k % d == 0]
             for q in range(2, 10):
                 assert math.prod(
-                    cyclotomic_value(d, q) for d in divisors(k)) == q**k - 1
+                    cyclotomic_value(d, q) for d in divisors) == q**k - 1
 
     def test_matches_recursive_oracle(self):
         for k in range(1, 25):
             for q in (2, 3, 5):
                 assert cyclotomic_value(k, q) == oracles.naive_cyclotomic(k, q)
 
-    def test_mobius_agrees_with_sympy(self):
-        for n in range(1, 500):
-            assert _mobius(n) == sympy.mobius(n), n
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 64])
+    def test_every_reachable_index_matches_oracle(self, q):
+        # every k with q^k below the value limit: 353 indices in all
+        k = 1
+        while q**k < 2**96:
+            assert _cyclotomic(k, q) == oracles.naive_cyclotomic(k, q), k
+            k += 1
 
     def test_agrees_with_sympy(self):
         from sympy.abc import x

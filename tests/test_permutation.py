@@ -63,6 +63,11 @@ class TestParse:
     def test_invalid_point_named(self):
         with pytest.raises(CycleParseError, match="^invalid point 'x'$"):
             parse_cycles("(1 x)", 3)
+        # int() takes a sign, underscores and other scripts' digits
+        for token in ("+1", "1_0", "\u0663", "-1"):
+            with pytest.raises(CycleParseError) as err:
+                parse_cycles(f"({token} 2)", 12)
+            assert str(err.value) == f"invalid point {token!r}"
 
     @pytest.mark.parametrize("call", [
         lambda: parse_cycles("", 0),

@@ -33,6 +33,17 @@ class TestParsing:
         with pytest.raises(TableFormatError):
             parse_expected_table("A5\tx\t5\tA5\t60\tdesk\n")
 
+    @pytest.mark.parametrize("fields", [
+        ("+3", "5", "60"), ("3", "\u0665", "60"), ("3", "5", "6_0"),
+        ("3", "5", "60, 120"), ("3 ", "5", "60"),
+    ], ids=["sign", "arabic-indic", "underscore", "space-in-list",
+            "trailing-space"])
+    def test_integer_fields_are_ascii_decimal(self, fields):
+        a, b, orders = fields
+        with pytest.raises(TableFormatError) as err:
+            parse_expected_table(f"# head\nA5\t{a}\t{b}\tA5\t{orders}\tdesk\n")
+        assert str(err.value) == "line 2: bad integer field"
+
     def test_empty_table(self):
         with pytest.raises(TableFormatError):
             parse_expected_table("# nothing\n")
