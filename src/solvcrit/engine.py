@@ -72,6 +72,10 @@ class _Level:
         # Schreier-generator work queue of (orbit point, generator)
         self.pending: deque = deque()
 
+    def sorted_reps(self) -> list[tuple]:
+        """The transversal representatives, by sorted orbit point."""
+        return [self.transversal[x] for x in sorted(self.transversal)]
+
     def add_generator(self, gen: tuple) -> None:
         self.gens.append(gen)
         self.pending.extend((x, gen) for x in self.transversal)
@@ -93,6 +97,14 @@ class _Level:
                     inverses[y] = _inv(new_rep)
                     orbit.append(y)
                     self.pending.extend((y, g) for g in gens)
+
+
+def _prefixed(prefixes: Iterable[tuple],
+              runs: Iterable[Sequence[tuple]]) -> Iterator[tuple]:
+    """prefix * rep for each rep of each run, with the prefixes taken in
+    step with the runs, composed at C speed."""
+    return itertools.chain.from_iterable(map(
+        lambda prefix, reps: map(_mult_by(prefix), reps), prefixes, runs))
 
 
 class StabilizerChain:
@@ -212,11 +224,41 @@ class StabilizerChain:
         """
         elements: Iterable[tuple] = (self._identity,)
         for lv in reversed(self._levels):
-            reps = [lv.transversal[x] for x in sorted(lv.transversal)]
-            # reps is bound per level: the maps run only after this loop
-            elements = itertools.chain.from_iterable(map(
-                lambda deeper, reps=reps: map(_mult_by(deeper), reps),
-                elements))
+            elements = _prefixed(elements, itertools.repeat(lv.sorted_reps()))
+        return iter(elements)
+
+    def tuples_at(self, positions: Sequence[int]) -> Iterator[tuple]:
+        """The tuples ``iter_tuples`` yields at ``positions``, in that order.
+
+        A position is a mixed-radix number over the transversal sizes, the
+        top level's digit varying fastest.  Each level splits off its digit
+        and groups runs of positions that share the deeper digits (the
+        prefix); each prefix's product is composed once, deepest level
+        first, by ``_prefixed`` as in ``iter_tuples``.  Ascending positions
+        share the most.
+        """
+        selected = []  # per level, top first: the reps of each prefix run
+        for lv in self._levels:
+            reps = lv.sorted_reps()
+            n = len(reps)
+            prefixes: list[int] = []
+            runs: list[list] = []
+            last = None
+            for k in positions:
+                prefix, digit = divmod(k, n)
+                if prefix != last:
+                    last = prefix
+                    prefixes.append(prefix)
+                    run = []
+                    runs.append(run)
+                run.append(reps[digit])
+            selected.append(runs)
+            positions = prefixes
+        if any(positions):
+            raise IndexError("position outside the group's enumeration")
+        elements: Iterable[tuple] = [self._identity] * len(positions)
+        for runs in reversed(selected):
+            elements = _prefixed(elements, runs)
         return iter(elements)
 
 

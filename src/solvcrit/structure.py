@@ -128,7 +128,8 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
     ``array("I")``.  This is its one writer: ``conjugacy_classes``,
     ``elements_of_order``, ``check_criterion``, ``verify_witness_pair`` and
     ``search_witness_pairs`` call it, and the first call on a handle walks
-    the record and keeps it there; every call enumerates G once.  Each
+    the record and keeps it there.  Every call enumerates G once;
+    ``elements_of_order`` calls it only on a fresh handle.  Each
     class grows from its earliest member by a walk over its member list
     that pops every conjugate it reaches from ``unassigned`` (element ->
     position); its order is that of its first member.
@@ -173,7 +174,8 @@ def conjugacy_classes(group: GroupHandle) -> list:
     elements, partition = _class_partition(group)
     classes = []
     for elt_order, members_idx in partition:
-        members = tuple(Permutation._wrap(elements[j]) for j in members_idx)
+        members = tuple(map(Permutation._wrap,
+                            map(elements.__getitem__, members_idx)))
         classes.append(ConjugacyClass(members[0], len(members), members,
                                       elt_order))
     return classes
@@ -200,14 +202,15 @@ def order_spectrum(group: GroupHandle) -> OrderSpectrum:
 def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """All elements of order exactly m, in enumeration order.
 
-    Filtered by the class record, which a call on a fresh handle walks
-    and keeps, as every caller of ``_class_partition`` does.
+    Their positions come from the class record, which a call on a fresh
+    handle walks and keeps, as every caller of ``_class_partition`` does;
+    ``StabilizerChain.tuples_at`` composes only the elements at those
+    positions, not the rest of G.
     """
     if m < 1:
         raise ValueError("order must be positive")
+    _check_cap(group)
     record = group._classes or _class_partition(group)[1]
-    # a generator, so the enumeration runs as the caller iterates
-    wanted = {k for order, positions in record if order == m
-              for k in positions}
-    return (Permutation._wrap(t)
-            for k, t in enumerate(_element_tuples(group)) if k in wanted)
+    tuples = group.chain.tuples_at(_positions_of_order(record, m))
+    # a generator, so the elements are composed as the caller iterates
+    return (Permutation._wrap(t) for t in tuples)

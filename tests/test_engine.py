@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import _build
 from solvcrit.engine import (
     EnumerationCapExceeded,
     StabilizerChain,
@@ -219,6 +221,64 @@ class TestEnumerationOrderPins:
             _sha([(lv.point, sorted(lv.transversal.items())) for lv in levels]),
             _sha([(list(lv.transversal), lv.gens) for lv in levels]),
         ) == self.PINS[name]
+
+
+# C1's chain has no levels; C300's degree is above 256
+SELECTION_GROUPS = ["C1", "S4", "A6", "M11", "C300", "A5wrC2"]
+
+
+@functools.cache
+def _selection_case(name):
+    chain = _build(name).chain
+    return chain, list(chain.iter_tuples())
+
+
+def _filtered(chain, positions):
+    wanted = set(positions)
+    return [t for k, t in enumerate(chain.iter_tuples()) if k in wanted]
+
+
+class TestTuplesAt:
+    """``tuples_at`` picks out of the enumeration without walking it."""
+
+    @pytest.mark.parametrize("name", SELECTION_GROUPS)
+    def test_every_position(self, name):
+        chain, elements = _selection_case(name)
+        every = range(len(elements))
+        assert list(chain.tuples_at(every)) == _filtered(chain, every)
+
+    @pytest.mark.parametrize("name", SELECTION_GROUPS)
+    def test_no_position(self, name):
+        chain, _elements = _selection_case(name)
+        assert list(chain.tuples_at([])) == []
+
+    @pytest.mark.parametrize("name", SELECTION_GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sorted_subsets(self, name, data):
+        chain, elements = _selection_case(name)
+        positions = sorted(data.draw(
+            st.sets(st.integers(0, len(elements) - 1), max_size=200)))
+        assert list(chain.tuples_at(positions)) == \
+            _filtered(chain, positions)
+
+    @pytest.mark.parametrize("name", SELECTION_GROUPS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_order_and_repeats(self, name, data):
+        # positions come back in the order given, repeats included
+        chain, elements = _selection_case(name)
+        positions = data.draw(
+            st.lists(st.integers(0, len(elements) - 1), max_size=50))
+        assert list(chain.tuples_at(positions)) == \
+            [elements[k] for k in positions]
+
+    @pytest.mark.parametrize("name", SELECTION_GROUPS)
+    def test_position_outside_rejected(self, name):
+        chain, elements = _selection_case(name)
+        for k in (-1, len(elements)):
+            with pytest.raises(IndexError):
+                chain.tuples_at([0, k])
 
 
 class TestGeneratedSubgroup:

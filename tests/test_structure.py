@@ -343,6 +343,30 @@ class TestOrderIndex:
             check_elements()
             assert order_spectrum(g).orders == spectrum
 
+    def test_c1_has_only_its_identity(self):
+        # C1's chain has no levels: position 0 is the identity, and an
+        # order with no positions selects nothing
+        g = catalog_group("C1")
+        assert list(elements_of_order(g, 1)) == [Permutation.identity(1)]
+        assert list(elements_of_order(g, 2)) == []
+
+    @pytest.mark.parametrize("name", ["A6", "M11", "C300", "A5wrC2"])
+    def test_recorded_handle_never_enumerates(self, group, monkeypatch,
+                                              name):
+        # with the record in hand, only the selected elements are composed
+        g = group(name)
+        conjugacy_classes(g)
+        brute = [(p, oracles.tuple_order(p.images))
+                 for p in enumerate_elements(g)]
+
+        def refuse(chain):
+            raise AssertionError("iter_tuples called")
+
+        monkeypatch.setattr(StabilizerChain, "iter_tuples", refuse)
+        for m in order_spectrum(g).orders:
+            assert list(elements_of_order(g, m)) == \
+                [p for p, o in brute if o == m], m
+
     def test_elements_of_order_is_a_generator(self):
         # a generator runs its enumeration as the caller iterates, on a
         # fresh handle, where the call walks and keeps the class record,
