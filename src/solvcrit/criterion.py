@@ -9,16 +9,18 @@ Two predicates drive everything here:
   a nonsolvable subgroup?  Such (a, b) exist in every nonabelian simple group.
 
 Every pair scan runs through one core, ``_PairJudge.first_solvable``.  With
-x fixed, it judges y in order and hands each nonsolvable verdict to a
-caller's marking, which settles the y that must share it.  Every scanned y
-is tallied with its verdict, so the reports are those of a scan that judges
-every y, and scans are deterministic (enumeration order, first hit wins).
+x fixed, it judges y in order; after a nonsolvable verdict, the caller's
+``mark(y)`` names the y' that share y's verdict, and each is settled with
+it.  Every scanned y is tallied with its verdict, so the reports are those
+of a scan that judges every y, and scans are deterministic (enumeration
+order, first hit wins).
 
 The scans rest on conjugation equivariance, <x^g, y^g> = <x, y>^g: x is a
-class representative, and y's orbit under coprime powers (<x, y^k> =
-<x, y> for k coprime to |y|) and under C_G(x) is marked.  C_G(x) is listed
-from a chain on the elements, in the scan's one enumeration of G, that
-commute with x.  Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
+class representative, and ``mark_orbit`` names y's orbit under the
+generators of <y> (<x, y^k> = <x, y> for k coprime to |y|) and under
+C_G(x).  C_G(x) is listed on the first nonsolvable verdict for x, from a
+chain on the elements, in the scan's one enumeration of G, that commute
+with x.  Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
 
 The exhaustive recheck of a criterion counterexample (C, D) rests on
 equalities of subgroups alone: replacing a generator by a coprime power of
@@ -46,7 +48,7 @@ from .permutation import (
     Permutation,
     _conjugates,
     _conjugators,
-    _coprime_powers,
+    _cyclic_generators,
     _inv,
     _mult_by,
 )
@@ -144,28 +146,33 @@ class _PairJudge:
             return order, self.parent_solvable
         return order, _solvability_tuples((x, y), self.degree, order).solvable
 
-    def centralizer(self, x: tuple, class_size: int) -> list:
-        """C_G(x) as ``_conjugators`` pairs, listed once per x from
-        ``elements`` (``_centralizer_tuples``); ``class_size`` is |x^G|."""
-        if class_size == 1:  # x is central: <x, y> is abelian, never marked
-            return []
+    def mark_orbit(self, x: tuple, class_size: int, y: tuple) -> list:
+        """y's orbit under C_G(x) and the generators of <y>, listed as the
+        (y^k)^c, whose <x, (y^k)^c> = <x, y>^c share <x, y>'s verdict.
+
+        C_G(x) is listed from ``elements`` (``_centralizer_tuples``) on the
+        first call for x and kept; ``class_size`` is |x^G|.  A central x
+        is never marked: <x, y> is abelian, so its first verdict is
+        solvable.
+        """
         conjugators = self.centralizers.get(x)
         if conjugators is None:
             conjugators = _conjugators(_centralizer_tuples(
                 self.elements, x, self.parent_order // class_size))
             self.centralizers[x] = conjugators
-        return conjugators
+        return [c for z in _cyclic_generators(y)
+                for c in _conjugates(z, conjugators)]
 
     def first_solvable(self, x: tuple, mark: Callable, ys: Iterable[tuple],
                        outcomes: Counter) -> tuple | None:
         """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
         Each y up to and including it is tallied in ``outcomes`` with its
-        verdict.  A nonsolvable verdict is handed to ``mark(y, verdict,
-        known)``, which settles every y' whose <x, y'> must share it: the
-        scans set ``known[y'] = verdict`` (``_mark_orbit``), and the recheck
-        keeps settled cells in its own record, which its ``ys`` reads.
-        None is judged again.
+        verdict.  After a nonsolvable verdict, ``mark(y)`` names the y'
+        whose <x, y'> must share it, and each is settled with that verdict:
+        the scans name y's orbit (``mark_orbit``), and the recheck names
+        none, as it keeps settled cells in its own record, which its ``ys``
+        reads.  No settled y is judged again.
         """
         known: dict = {}  # settled y -> its verdict
         for y in ys:
@@ -173,20 +180,11 @@ class _PairJudge:
             if verdict is None:
                 verdict = self.verdict(x, y)
                 if not verdict[1]:
-                    mark(y, verdict, known)
+                    known.update(dict.fromkeys(mark(y), verdict))
             outcomes[verdict] += 1
             if verdict[1]:
                 return y
         return None
-
-
-def _mark_orbit(conjugators: list, y: tuple, verdict: tuple,
-                known: dict) -> None:
-    # the scans' marking: y's orbit under coprime powers and the
-    # ``_conjugators`` pairs c, for which <x, y^c> is a conjugate of <x, y>;
-    # (y^k)^c = (y^c)^k, so the orbit is {(y^k)^c}: one conjugate per k, c
-    for z in (y, *_coprime_powers(y)):
-        known.update(dict.fromkeys(_conjugates(z, conjugators), verdict))
 
 
 def check_criterion(group: GroupHandle) -> CriterionReport:
@@ -219,7 +217,7 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
 
     for i, class_c in enumerate(classes):
         x = class_c.representative
-        mark = partial(_mark_orbit, judge.centralizer(x.images, class_c.size))
+        mark = partial(judge.mark_orbit, x.images, class_c.size)
         for j, ys in enumerate(members):
             y = judge.first_solvable(x.images, mark, ys, tally)
             if y is not None:
@@ -257,8 +255,9 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
     col_maps = [(_mult_by(y), _mult_by(_inv(y))) for y in cols]
     settled = bytearray(len(rows) * width)  # cell r * width + c
 
-    def walk(r: int, y: tuple, _verdict: tuple, _known: dict) -> None:
-        # settle y's cell in row r and every cell the two moves reach
+    def walk(r: int, y: tuple) -> tuple:
+        # settle y's cell in row r and every cell the two moves reach in
+        # ``settled``, which the rows' ys read, so no y is named
         cell = r * width + col_of[y]
         settled[cell] = 1
         stack = array("I", (cell,))
@@ -270,6 +269,7 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
                 if not settled[cell]:
                     settled[cell] = 1
                     stack.append(cell)
+        return ()
 
     for r, x in enumerate(rows):
         base = r * width
@@ -287,7 +287,7 @@ def _cyclic_cells(members: Sequence[tuple]) -> tuple:
     kept = []
     for z in members:
         if index[z] is None:
-            for p in (z, *_coprime_powers(z)):
+            for p in _cyclic_generators(z):
                 if p in index:
                     index[p] = len(kept)
             kept.append(z)
@@ -325,8 +325,7 @@ def _witness_report(judge: _PairJudge, partition: tuple, a: int,
             continue
         x = elements[positions[0]]
         y = judge.first_solvable(
-            x, partial(_mark_orbit, judge.centralizer(x, len(positions))), ys,
-            outcomes)
+            x, partial(judge.mark_orbit, x, len(positions)), ys, outcomes)
         if y is not None:
             counterexample = (Permutation._wrap(x), Permutation._wrap(y))
             break

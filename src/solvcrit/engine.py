@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .permutation import (
-    DegreeMismatchError,
     Permutation,
+    _check_degrees,
     _conjugates,
     _conjugators,
     _inv,
@@ -210,9 +210,7 @@ class StabilizerChain:
         return math.prod(len(lv.transversal) for lv in self._levels)
 
     def contains_tuple(self, g: tuple) -> bool:
-        if len(g) != self.degree:
-            raise DegreeMismatchError(
-                f"degree mismatch: {len(g)} vs {self.degree}")
+        _check_degrees(len(g), self.degree)
         return self._sift(g)[0] is None
 
     def iter_tuples(self) -> Iterator[tuple]:
@@ -302,9 +300,7 @@ def build_group(generators: Sequence[Permutation],
         raise ValueError("generator list must be nonempty")
     degree = gens[0].degree
     for g in gens[1:]:
-        if g.degree != degree:
-            raise DegreeMismatchError(
-                f"degree mismatch: {g.degree} vs {degree}")
+        _check_degrees(g.degree, degree)
     chain = StabilizerChain.build([g.images for g in gens], degree)
     return GroupHandle(gens, chain, label)
 

@@ -93,10 +93,10 @@ def _powers(y: tuple) -> list:
     return powers
 
 
-def _coprime_powers(y: tuple) -> list:
-    """y^k for 1 < k < |y| with gcd(k, |y|) = 1, in increasing k."""
+def _cyclic_generators(y: tuple) -> list:
+    """The generators y^k of <y>, gcd(k, |y|) = 1, y first, in increasing k."""
     powers = _powers(y)
-    return [p for k, p in enumerate(powers[1:-1], start=2)
+    return [p for k, p in enumerate(powers, start=1)
             if math.gcd(k, len(powers)) == 1]
 
 
@@ -109,10 +109,9 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-def _check_degrees(p: "Permutation", q: "Permutation") -> None:
-    if p.degree != q.degree:
-        raise DegreeMismatchError(
-            f"degree mismatch: {p.degree} vs {q.degree}")
+def _check_degrees(a: int, b: int) -> None:
+    if a != b:
+        raise DegreeMismatchError(f"degree mismatch: {a} vs {b}")
 
 
 class Permutation:
@@ -163,7 +162,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Apply self, then other."""
-        _check_degrees(self, other)
+        _check_degrees(self.degree, other.degree)
         return Permutation._wrap(_mult(self._images, other._images))
 
     def inverse(self) -> "Permutation":

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -183,9 +184,14 @@ class TestErrors:
 
 def _child_env(**extra) -> dict:
     # the child imports solvcrit from where this process did, so it runs
-    # the code under test whether that is src/ or site-packages
+    # the code under test whether that is src/ or site-packages; it keeps
+    # PYTHONDONTWRITEBYTECODE, so a run that writes no bytecode spawns
+    # none that does
     package_root = str(Path(solvcrit.__file__).resolve().parents[1])
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **extra}
+    kept = {name: os.environ[name] for name in ("PYTHONDONTWRITEBYTECODE",)
+            if name in os.environ}
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **kept,
+            **extra}
 
 
 class TestDeterminismAcrossProcesses:

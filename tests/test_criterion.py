@@ -20,7 +20,7 @@ from solvcrit.criterion import (
 from solvcrit.engine import StabilizerChain, build_group, enumerate_elements
 from solvcrit.permutation import (
     Permutation,
-    _coprime_powers,
+    _cyclic_generators,
     _powers,
     parse_cycles,
 )
@@ -108,8 +108,7 @@ class TestSolvableParentShortcut:
                 x = c.representative.images
                 for j, d in enumerate(classes):
                     tally = Counter()
-                    mark = partial(criterion._mark_orbit,
-                                   judge.centralizer(x, c.size))
+                    mark = partial(judge.mark_orbit, x, c.size)
                     y = judge.first_solvable(x, mark,
                                              [m.images for m in d.members],
                                              tally)
@@ -679,11 +678,9 @@ class TestMarkOrbit:
         x, y = judge.judged[0]
         verdict = judge.verdict(x, y)
         assert not verdict[1]
-        known = {}
         class_size = next(len(positions) for _order, positions in partition
                           if elements[positions[0]] == x)
-        criterion._mark_orbit(judge.centralizer(x, class_size), y, verdict,
-                              known)
+        known = dict.fromkeys(judge.mark_orbit(x, class_size, y), verdict)
 
         n = oracles.tuple_order(y)
         powers, z = [], y
@@ -699,6 +696,58 @@ class TestMarkOrbit:
         assert set(known.values()) == {verdict}
 
 
+@pytest.fixture
+def sweeps_and_verdicts(monkeypatch):
+    # records ("sweep", x, order) for each centralizer listing and
+    # ("nonsolvable", x) for each nonsolvable verdict, in order
+    events = []
+    sweep, verdict = criterion._centralizer_tuples, _PairJudge.verdict
+
+    def recording_sweep(elements, x, order):
+        events.append(("sweep", x, order))
+        return sweep(elements, x, order)
+
+    def recording_verdict(judge, x, y):
+        result = verdict(judge, x, y)
+        if not result[1]:
+            events.append(("nonsolvable", x))
+        return result
+
+    monkeypatch.setattr(criterion, "_centralizer_tuples", recording_sweep)
+    monkeypatch.setattr(_PairJudge, "verdict", recording_verdict)
+    return events
+
+
+class TestCentralizerOnFirstNeed:
+    # C_G(x) is listed on the first nonsolvable verdict for x, and never
+    # for a central x, whose <x, y> is abelian
+    @pytest.mark.parametrize("name, scan", [
+        ("M11", search_witness_pairs), ("A6", check_criterion)])
+    def test_each_sweep_follows_a_nonsolvable_verdict(
+            self, group, sweeps_and_verdicts, name, scan):
+        scan(group(name))
+        events = sweeps_and_verdicts
+        swept = [i for i, event in enumerate(events) if event[0] == "sweep"]
+        assert swept, name
+        for i in swept:
+            assert ("nonsolvable", events[i][1]) in events[:i], (name, i)
+
+    @pytest.mark.parametrize("name", ["SL(2,5)", "A5xC6"])
+    @pytest.mark.parametrize("scan", [check_criterion, search_witness_pairs])
+    def test_no_sweep_of_a_central_class(self, group, sweeps_and_verdicts,
+                                         name, scan):
+        g = group(name)
+        scan(g)
+        orders = [event[2] for event in sweeps_and_verdicts
+                  if event[0] == "sweep"]
+        assert orders, name
+        assert g.order() not in orders, name
+
+    def test_solvable_group_sweeps_nothing(self, group, sweeps_and_verdicts):
+        check_criterion(group("S4"))
+        assert sweeps_and_verdicts == []
+
+
 class TestCoprimePowers:
     def test_matches_permutation_powers(self, group):
         cases = [p.images for p in enumerate_elements(group("A6"))]
@@ -709,13 +758,13 @@ class TestCoprimePowers:
             p = Permutation(y)
             n = p.order()
             orders.add(n)
-            expected = [(p ** k).images for k in range(2, n)
+            expected = [(p ** k).images for k in range(1, n + 1)
                         if math.gcd(k, n) == 1]
-            assert _coprime_powers(y) == expected, p
+            assert _cyclic_generators(y) == expected, p
             assert _powers(y) == [(p ** k).images
                                   for k in range(1, n + 1)], p
             if n <= 2:
-                assert _coprime_powers(y) == [], p
+                assert _cyclic_generators(y) == [y], p
         assert {1, 2, 4, 5, 8, 11} <= orders
 
 

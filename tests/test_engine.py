@@ -47,7 +47,8 @@ class TestBuildGroup:
             build_group([])
 
     def test_degree_mismatch_rejected(self):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(DegreeMismatchError,
+                           match=r"^degree mismatch: 4 vs 3$"):
             build_group([Permutation.identity(3), Permutation.identity(4)])
 
     def test_chain_invariants(self):
@@ -107,7 +108,8 @@ class TestContains:
         assert perm("(1 2)(3 4)", 5) in group("A5")
 
     def test_degree_mismatch(self, group):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(DegreeMismatchError,
+                           match=r"^degree mismatch: 6 vs 5$"):
             Permutation.identity(6) in group("A5")
 
     def test_agrees_with_enumerated_set(self, group):

@@ -110,7 +110,8 @@ class TestAlgebra:
         assert [r.apply(i) for i in (1, 2, 3)] == [3, 1, 2]
 
     def test_degree_mismatch(self):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(DegreeMismatchError,
+                           match=r"^degree mismatch: 3 vs 4$"):
             Permutation.identity(3) * Permutation.identity(4)
 
     @given(perms)
