@@ -19,8 +19,8 @@ The scans rest on conjugation equivariance, <x^g, y^g> = <x, y>^g: x is a
 class representative, and ``mark_orbit`` names y's orbit under the
 generators of <y> (<x, y^k> = <x, y> for k coprime to |y|) and under
 C_G(x).  C_G(x) is listed on the first nonsolvable verdict for x, from a
-chain on the elements, in the scan's one enumeration of G, that commute
-with x.  Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
+chain on the elements that commute with x, in a sweep that streams G's
+enumeration.  Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
 
 The exhaustive recheck of a criterion counterexample (C, D) rests on
 equalities of subgroups alone: replacing a generator by a coprime power of
@@ -126,18 +126,23 @@ class _PairJudge:
 
     <x, y>'s chain is bounded by |G|, so a pair generating G stops closing
     as soon as its order reaches |G|, and G's solvability is reused without
-    rerunning the derived series.  ``elements`` is G as the scan lists it.
+    rerunning the derived series.  The scans read G through ``classes``,
+    its class record (read first, so the cap is checked first): x is each
+    class's earliest member, and ``ys`` maps each scanned order to its
+    elements, composed once from their positions (``_witness_report``).
     """
 
-    __slots__ = ("degree", "elements", "parent_order", "parent_solvable",
-                 "centralizers")
+    __slots__ = ("chain", "classes", "degree", "parent_order",
+                 "parent_solvable", "centralizers", "ys")
 
-    def __init__(self, group: GroupHandle, elements: Sequence[tuple]):
+    def __init__(self, group: GroupHandle):
+        self.chain = group.chain
+        self.classes = _class_partition(group)
         self.degree = group.degree
-        self.elements = elements
         self.parent_order = group.order()
         self.parent_solvable = is_solvable(group).solvable
         self.centralizers: dict = {}
+        self.ys: dict = {}
 
     def verdict(self, x: tuple, y: tuple) -> tuple:
         order = StabilizerChain.build((x, y), self.degree,
@@ -150,15 +155,15 @@ class _PairJudge:
         """y's orbit under C_G(x) and the generators of <y>, listed as the
         (y^k)^c, whose <x, (y^k)^c> = <x, y>^c share <x, y>'s verdict.
 
-        C_G(x) is listed from ``elements`` (``_centralizer_tuples``) on the
-        first call for x and kept; ``class_size`` is |x^G|.  A central x
-        is never marked: <x, y> is abelian, so its first verdict is
-        solvable.
+        C_G(x) is listed by a sweep of ``chain.iter_tuples()``
+        (``_centralizer_tuples``) on the first call for x and kept;
+        ``class_size`` is |x^G|.  A central x is never marked: <x, y> is
+        abelian, so its first verdict is solvable.
         """
         conjugators = self.centralizers.get(x)
         if conjugators is None:
             conjugators = _conjugators(_centralizer_tuples(
-                self.elements, x, self.parent_order // class_size))
+                self.chain.iter_tuples(), x, self.parent_order // class_size))
             self.centralizers[x] = conjugators
         return [c for z in _cyclic_generators(y)
                 for c in _conjugates(z, conjugators)]
@@ -202,7 +207,7 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
     refs = tuple(ClassRef(i, c.order_of_elements, c.size)
                  for i, c in enumerate(classes))
     members = [[m.images for m in c.members] for c in classes]
-    judge = _PairJudge(group, [t for ys in members for t in ys])
+    judge = _PairJudge(group)
     if judge.parent_solvable:
         witnesses = {(i, j): (c.representative, d.members[0])
                      for i, c in enumerate(classes)
@@ -304,26 +309,25 @@ def verify_witness_pair(group: GroupHandle, a: int, b: int) -> WitnessReport:
     ``pairs_checked`` count every y scanned with its orbit's verdict, so
     they equal those of a scan that judges each pair.
     """
-    elements, partition = _class_partition(group)
-    orders = {order for order, _positions in partition}
+    orders = {order for order, _positions in _class_partition(group)}
     for m in (a, b):
         if m not in orders:
             raise OrderNotInSpectrumError(
                 f"no element of order {m} in the group")
-    return _witness_report(_PairJudge(group, elements), partition, a, b)
+    return _witness_report(_PairJudge(group), a, b)
 
 
-def _witness_report(judge: _PairJudge, partition: tuple, a: int,
-                    b: int) -> WitnessReport:
+def _witness_report(judge: _PairJudge, a: int, b: int) -> WitnessReport:
     # the scan behind verify_witness_pair and each search candidate
-    elements = judge.elements
-    ys = [elements[k] for k in _positions_of_order(partition, b)]
+    if b not in judge.ys:
+        judge.ys[b] = list(judge.chain.tuples_at(
+            _positions_of_order(judge.classes, b)))
+    ys = judge.ys[b]
+    classes = [positions for order, positions in judge.classes if order == a]
+    xs = judge.chain.tuples_at([positions[0] for positions in classes])
     outcomes: Counter = Counter()
     counterexample = None
-    for order, positions in partition:
-        if order != a:
-            continue
-        x = elements[positions[0]]
+    for x, positions in zip(xs, classes):
         y = judge.first_solvable(
             x, partial(judge.mark_orbit, x, len(positions)), ys, outcomes)
         if y is not None:
@@ -342,13 +346,12 @@ def search_witness_pairs(group: GroupHandle,
     Pairs are drawn from the group's order spectrum (a = b permitted) and
     returned in lexicographic order.  With ``restrict_to_primes``, only
     pairs of distinct primes are tried.  Every candidate is scanned as in
-    ``verify_witness_pair``, from the one class partition of the group and
-    one shared set of verdicts and centralizers.
+    ``verify_witness_pair`` by one judge, so the candidates share its
+    centralizers and its per-order y-lists (no verdict is shared).
     """
-    elements, partition = _class_partition(group)
-    orders = sorted({order for order, _positions in partition})
-    judge = _PairJudge(group, elements)
+    judge = _PairJudge(group)
+    orders = sorted({order for order, _positions in judge.classes})
     return [(a, b) for i, a in enumerate(orders) for b in orders[i:]
             if not (restrict_to_primes
                     and (a == b or not is_prime(a) or not is_prime(b)))
-            and _witness_report(judge, partition, a, b).verified]
+            and _witness_report(judge, a, b).verified]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .engine import (
     GroupHandle,
@@ -71,11 +71,11 @@ def _commutator_tuples(gens: Sequence[tuple]) -> list[tuple]:
             for a_inv, a in pairs for b_inv, b in pairs]
 
 
-def _centralizer_tuples(elements: Sequence[tuple], x: tuple,
+def _centralizer_tuples(elements: Iterable[tuple], x: tuple,
                         order: int) -> list[tuple]:
     """Every element of the centralizer C_G(x), as image tuples.
 
-    ``elements`` lists all of G, and ``order`` is |C_G(x)| = |G| / |x^G|
+    ``elements`` runs over all of G, and ``order`` is |C_G(x)| = |G| / |x^G|
     (orbit-stabilizer).  The sweep hands each element that commutes with
     x to the chain, whose sift adds it only when it lies outside, until
     the chain's order reaches ``order``; the stopped chain is then
@@ -120,23 +120,22 @@ def is_solvable(group: GroupHandle) -> SolvabilityResult:
     return _solvability_tuples(gens, group.degree, group.order())
 
 
-def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
-    """Element tuples in enumeration order, and the group's class record.
+def _class_partition(group: GroupHandle) -> tuple:
+    """The group's class record, checking the cap first.
 
     The record lists the conjugacy classes in ``conjugacy_classes`` order
     as (element order, sorted member positions), the positions an
     ``array("I")``.  This is its one writer: ``conjugacy_classes``,
-    ``elements_of_order``, ``check_criterion``, ``verify_witness_pair`` and
-    ``search_witness_pairs`` call it, and the first call on a handle walks
-    the record and keeps it there.  Every call enumerates G once;
-    ``elements_of_order`` calls it only on a fresh handle.  Each
-    class grows from its earliest member by a walk over its member list
-    that pops every conjugate it reaches from ``unassigned`` (element ->
-    position); its order is that of its first member.
+    ``elements_of_order`` and the scans' ``_PairJudge`` call it, and the
+    first call on a handle walks the record and keeps it there; only that
+    call enumerates G.  Each class grows from its earliest member by a walk
+    over its members that pops every conjugate it reaches from
+    ``unassigned`` (element -> position); its order is its first member's.
     """
-    elements = list(_element_tuples(group))
+    _check_cap(group)
     if group._classes is not None:
-        return elements, group._classes
+        return group._classes
+    elements = list(group.chain.iter_tuples())
     unassigned = {t: i for i, t in enumerate(elements)}
     conjugators = _conjugators([g.images for g in group.generators])
 
@@ -155,7 +154,7 @@ def _class_partition(group: GroupHandle) -> tuple[list, tuple]:
     classes.sort(key=lambda c: (c[0], len(c[1]), c[1][0]))
     record = tuple(classes)
     object.__setattr__(group, "_classes", record)
-    return elements, record
+    return record
 
 
 def _positions_of_order(classes: Sequence, m: int) -> list:
@@ -171,7 +170,8 @@ def conjugacy_classes(group: GroupHandle) -> list:
     enumeration order); each class representative is its earliest member.
     Requires the group to be within the enumeration cap.
     """
-    elements, partition = _class_partition(group)
+    partition = _class_partition(group)
+    elements = list(_element_tuples(group))  # every member is wrapped
     classes = []
     for elt_order, members_idx in partition:
         members = tuple(map(Permutation._wrap,
@@ -190,12 +190,10 @@ def order_spectrum(group: GroupHandle) -> OrderSpectrum:
     takes under half the walk's time.  ``_class_partition`` lists the
     queries that write the record.
     """
-    record = group._classes
-    if record is None:
+    if group._classes is None:
         orders = set(map(_tuple_order, _element_tuples(group)))
     else:
-        _check_cap(group)
-        orders = {order for order, _positions in record}
+        orders = {order for order, _positions in _class_partition(group)}
     return OrderSpectrum(tuple(sorted(orders)), group.order())
 
 
@@ -209,8 +207,7 @@ def elements_of_order(group: GroupHandle, m: int) -> Iterator[Permutation]:
     """
     if m < 1:
         raise ValueError("order must be positive")
-    _check_cap(group)
-    record = group._classes or _class_partition(group)[1]
-    tuples = group.chain.tuples_at(_positions_of_order(record, m))
+    positions = _positions_of_order(_class_partition(group), m)
+    tuples = group.chain.tuples_at(positions)
     # a generator, so the elements are composed as the caller iterates
     return (Permutation._wrap(t) for t in tuples)

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from solvcrit import criterion
+from solvcrit.catalog import catalog_group
 from solvcrit.criterion import (
     ClassRef,
     CriterionReport,
@@ -26,9 +27,11 @@ from solvcrit.permutation import (
 )
 from solvcrit.structure import (
     _class_partition,
+    _positions_of_order,
     conjugacy_classes,
     elements_of_order,
     is_solvable,
+    order_spectrum,
 )
 from test_structure import _agl1
 
@@ -101,8 +104,7 @@ class TestSolvableParentShortcut:
         cases.append(_agl1(31, 3))
         for g in cases:
             classes = conjugacy_classes(g)
-            judge = _PairJudge(g, [m.images for c in classes
-                                   for m in c.members])
+            judge = _PairJudge(g)
             witnesses, examined = {}, 0
             for i, c in enumerate(classes):
                 x = c.representative.images
@@ -226,7 +228,7 @@ class TestVerdicts:
             g = group(name)
             elems = list(enumerate_elements(g))
             rng = random.Random(seed)
-            judge = _PairJudge(g, [p.images for p in elems])
+            judge = _PairJudge(g)
             pairs = [(rng.choice(elems).images, rng.choice(elems).images)
                      for _ in range(count)]
             solvable = {}  # one brute-force series per distinct subgroup
@@ -293,8 +295,8 @@ class _CountingJudge(_PairJudge):
 
     __slots__ = ("judged",)
 
-    def __init__(self, group, elements):
-        super().__init__(group, elements)
+    def __init__(self, group):
+        super().__init__(group)
         self.judged = []
 
     def verdict(self, x, y):
@@ -361,9 +363,8 @@ class TestOrbitReduction:
         # positions up to it may be tallied, not whole orbits
         for name, a, b in (("psl2:7", 4, 3), ("A7", 3, 7)):
             g = group(name)
-            elements, partition = _class_partition(g)
-            judge = _CountingJudge(g, elements)
-            reduced = _witness_report(judge, partition, a, b)
+            judge = _CountingJudge(g)
+            reduced = _witness_report(judge, a, b)
             full = unreduced(verify_witness_pair, g, a, b)
             assert not reduced.verified
             assert 2 <= len(judge.judged) <= reduced.pairs_checked
@@ -372,9 +373,8 @@ class TestOrbitReduction:
     def test_verdict_counts(self, group, monkeypatch):
         # one verdict per orbit of C_G(x) and of coprime powers of y
         g = group("M12")
-        elements, partition = _class_partition(g)
-        judge = _CountingJudge(g, elements)
-        assert _witness_report(judge, partition, 2, 11).verified
+        judge = _CountingJudge(g)
+        assert _witness_report(judge, 2, 11).verified
         assert len(judge.judged) <= 20
         judges = []
 
@@ -497,7 +497,7 @@ class TestRecheck:
         cells = {subgroup(x, y) for x in c for y in d}
         counts = []
         for xs, ys in ((c, d), (d, c)):
-            judge = _BlindJudge(g, [p.images for p in enumerate_elements(g)])
+            judge = _BlindJudge(g)
             criterion._recheck_counterexample(judge, xs, ys)
             assert {subgroup(x, y) for x, y in judge.judged} == cells, name
             counts.append(len(judge.judged))
@@ -520,9 +520,8 @@ class TestRecheck:
         subgroup = _subgroups(g.degree)
         planted = {subgroup(x, y) for x in c for y in d}
         assert len(planted) == subgroups, name
-        elements = [p.images for p in enumerate_elements(g)]
         for h in planted:
-            judge = _BlindJudge(g, elements)
+            judge = _BlindJudge(g)
             judge.planted = h
             with pytest.raises(AssertionError, match="reduced scan missed"):
                 criterion._recheck_counterexample(judge, c, d)
@@ -538,9 +537,8 @@ class TestRecheck:
         # the generator moves, the same in either argument order
         g = group(name)
         c, d = _rectangle(g, "counterexample")
-        elements = [p.images for p in enumerate_elements(g)]
         for xs, ys in ((c, d), (d, c)):
-            judge = _CountingJudge(g, elements)
+            judge = _CountingJudge(g)
             criterion._recheck_counterexample(judge, xs, ys)
             assert len(judge.judged) == judged, name
 
@@ -672,13 +670,14 @@ class TestMarkOrbit:
     def test_marks_the_orbit_of_y(self, group, name, a, b):
         # the orbit of y under C_G(x) and coprime powers, by brute force
         g = group(name)
-        elements, partition = _class_partition(g)
-        judge = _CountingJudge(g, elements)
-        assert _witness_report(judge, partition, a, b).verified
+        judge = _CountingJudge(g)
+        assert _witness_report(judge, a, b).verified
         x, y = judge.judged[0]
         verdict = judge.verdict(x, y)
         assert not verdict[1]
-        class_size = next(len(positions) for _order, positions in partition
+        elements = [p.images for p in enumerate_elements(g)]
+        class_size = next(len(positions)
+                          for _order, positions in _class_partition(g)
                           if elements[positions[0]] == x)
         known = dict.fromkeys(judge.mark_orbit(x, class_size, y), verdict)
 
@@ -768,24 +767,82 @@ class TestCoprimePowers:
         assert {1, 2, 4, 5, 8, 11} <= orders
 
 
-class TestOneEnumeration:
-    # every scan reads one class partition, so G is enumerated once per call
-    @pytest.mark.parametrize("name, scan", [
-        ("M11", lambda g: verify_witness_pair(g, 2, 11)),
-        ("A6", search_witness_pairs),
-        ("A6", check_criterion),
-        ("S4", check_criterion),
-    ], ids=["verify-M11", "search-A6", "criterion-A6", "criterion-S4"])
-    def test_scan_enumerates_group_once(self, group, monkeypatch, name, scan):
+def _count_enumerations(monkeypatch, g, scan):
+    # (enumerations of g's own chain, centralizer sweeps) made by scan(g);
+    # each C_G(x) is listed from its own chain, which is not counted
+    iter_tuples = StabilizerChain.iter_tuples
+    sweep = criterion._centralizer_tuples
+    enumerations, sweeps = [], []
+
+    def counting(chain):
+        if chain is g.chain:
+            enumerations.append(1)
+        return iter_tuples(chain)
+
+    def counting_sweep(elements, x, order):
+        sweeps.append(x)
+        return sweep(elements, x, order)
+
+    monkeypatch.setattr(StabilizerChain, "iter_tuples", counting)
+    monkeypatch.setattr(criterion, "_centralizer_tuples", counting_sweep)
+    scan(g)
+    return len(enumerations), len(sweeps)
+
+
+_SCANS = [("M11", lambda g: verify_witness_pair(g, 2, 11), 0),
+          ("A6", search_witness_pairs, 0),
+          ("A6", check_criterion, 1),
+          ("S4", check_criterion, 1)]
+_SCAN_IDS = ["verify-M11", "search-A6", "criterion-A6", "criterion-S4"]
+
+
+class TestScanEnumerations:
+    # the scans read G through its class record: G is enumerated by the
+    # class walk of a fresh handle and by each centralizer sweep, which
+    # streams the chain; check_criterion lists G once more, for
+    # conjugacy_classes, which wraps every element (``lists``)
+    @pytest.mark.parametrize("name, scan, lists", _SCANS, ids=_SCAN_IDS)
+    def test_fresh_handle_walk_and_sweeps(self, monkeypatch, name, scan,
+                                          lists):
+        g = catalog_group(name)
+        assert g._classes is None
+        enumerations, sweeps = _count_enumerations(monkeypatch, g, scan)
+        assert enumerations == 1 + lists + sweeps, name
+
+    @pytest.mark.parametrize("name, scan, lists", _SCANS + [
+        ("M12", lambda g: verify_witness_pair(g, 2, 11), 0)],
+        ids=_SCAN_IDS + ["verify-M12"])
+    def test_recorded_handle_only_sweeps(self, group, monkeypatch, name,
+                                         scan, lists):
         g = group(name)
-        iter_tuples = StabilizerChain.iter_tuples
-        calls = []
+        _class_partition(g)
+        enumerations, sweeps = _count_enumerations(monkeypatch, g, scan)
+        assert enumerations == lists + sweeps, name
 
-        def counting(chain):
-            calls.append(chain)
-            return iter_tuples(chain)
+    def test_search_composes_each_y_list_once(self, group, monkeypatch):
+        # the candidates of one search share the judge's list of each
+        # order's elements, composed from their record positions
+        g = group("M11")
+        record = _class_partition(g)
+        tuples_at = StabilizerChain.tuples_at
+        composed = []
 
-        monkeypatch.setattr(StabilizerChain, "iter_tuples", counting)
-        scan(g)
-        # each C_G(x) is listed from its own chain, not from g.chain
-        assert sum(chain is g.chain for chain in calls) == 1
+        def recording(chain, positions):
+            listed = list(tuples_at(chain, positions))
+            if chain is g.chain:
+                composed.append((list(positions), listed))
+            return iter(listed)
+
+        monkeypatch.setattr(StabilizerChain, "tuples_at", recording)
+        search_witness_pairs(g)
+        monkeypatch.undo()
+        for m in order_spectrum(g).orders:
+            positions = _positions_of_order(record, m)
+            lists = [listed for ks, listed in composed if ks == positions]
+            assert lists, m
+            assert all(listed == [p.images for p in elements_of_order(g, m)]
+                       for listed in lists), m
+            # the identity's list is also its class representative, which
+            # each candidate (1, b) composes as its x
+            if positions != [ks[0] for order, ks in record if order == m]:
+                assert len(lists) == 1, m

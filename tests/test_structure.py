@@ -218,15 +218,17 @@ class TestClassPartition:
     def test_merged_positions_are_elements_of_order(self, group, name):
         # the witness scans take their y-lists from these merged positions
         g = group(name)
-        elements, partition = _class_partition(g)
-        assert elements == [p.images for p in enumerate_elements(g)]
+        partition = _class_partition(g)
+        assert partition is g._classes
+        elements = [p.images for p in enumerate_elements(g)]
         # positions[0] is the representative: the earliest member
         assert all(list(ks) == sorted(ks) for _order, ks in partition)
         for b in order_spectrum(g).orders:
             merged = sorted(k for order, ks in partition if order == b
                             for k in ks)
-            assert [elements[k] for k in merged] == [
-                p.images for p in elements_of_order(g, b)], b
+            assert list(g.chain.tuples_at(merged)) == \
+                [elements[k] for k in merged] == \
+                [p.images for p in elements_of_order(g, b)], b
 
 
 class TestOrderSpectrum:
