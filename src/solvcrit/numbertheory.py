@@ -13,8 +13,12 @@ m/2, largest prime at most m), or (m/2, the one prime in (m/2, m]) for
 m = 6 and m = 10, the only m >= 5 with fewer than two primes there (the
 Ramanujan prime R_2 is 11).
 
-Inputs are range-checked against VALUE_LIMIT (2^96).  Primes above psi_13
-(about 3.3e24) are only strong probable primes to the bases 2..97.
+Phi_e(q) holds every primitive prime divisor of q^e - 1, and for q = p^k
+it is a product of the smaller cyclotomic values Phi_ed(p) (the algebraic
+factorization of the Cunningham tables), so each of those is factored
+apart.  Inputs are range-checked against VALUE_LIMIT (2^96).  Primality
+is proven below psi_13 (about 3.3e24); above it, primes are only strong
+probable primes to the bases 2..97.
 """
 
 from __future__ import annotations
@@ -27,6 +31,19 @@ VALUE_LIMIT = 2**96
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
              41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _TRIAL_PRIMES = _MR_BASES[:12]  # 2..37
+# (psi_j, j): below psi_j the first j bases prove primality (OEIS A014233)
+_MR_PROVEN = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
 
 
 class ValueOutOfRangeError(ValueError):
@@ -42,13 +59,28 @@ def _check_range(n: int, what: str = "value") -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the fixed witness set 2..97.
+    """Miller-Rabin with the fewest prime bases that prove the answer.
 
-    The 13-witness prefix 2..41 is proven correct below 3.3e24 (Sorenson
-    and Webster, Math. Comp. 2017); the 12 witnesses 2..37 are not, since
-    psi_12 = 318665857834031151167461 (about 3.2e23) is a strong pseudoprime
-    to all of them.  The full set has no known failures anywhere near the
-    2^96 working range.
+    psi_j is the least strong pseudoprime to the first j prime bases
+    (OEIS A014233; Sorenson and Webster, Math. Comp. 2017), so below psi_j
+    those j bases decide primality exactly:
+
+        j   psi_j
+        1   2,047
+        2   1,373,653
+        3   25,326,001
+        4   3,215,031,751
+        5   2,152,302,898,747
+        6   3,474,749,660,383
+        7   341,550,071,728,321        (= psi_8)
+        9   3,825,123,056,546,413,051  (= psi_10 = psi_11)
+        12  318,665,857,834,031,151,167,461
+        13  3,317,044,064,679,887,385,961,981
+
+    n is tested with the j bases of the first psi_j above it.  At or above
+    psi_13 (about 3.3e24) all 25 bases 2..97 run, and a True is a strong
+    probable prime to each of them; that set has no known failures anywhere
+    near the 2^96 working range.
     """
     if n < 2:
         return False
@@ -62,7 +94,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    bases = next((j for psi, j in _MR_PROVEN if n < psi), len(_MR_BASES))
+    for a in _MR_BASES[:bases]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -222,39 +255,60 @@ class DivisorSet:
         return "{" + body + "}"
 
 
-def _ppd_primes(base: int, e: int) -> tuple:
-    """Primes r with r | base^e - 1 and r not dividing base^i - 1 for i < e.
+def _cyclotomic_orders(e: int, k: int) -> list:
+    """The m with Phi_e(x^k) = prod of Phi_m(x), each e times a divisor of k.
 
-    Every such r divides the cyclotomic factor Phi_e(base) of base^e - 1,
-    so only that (much smaller) factor is factorized.  A prime r of
-    Phi_e(base) has order e / r^j mod r for some j >= 0, with j > 0 only
-    if r | e, while order e forces r = 1 mod e, so r does not divide e:
-    r is primitive exactly when r does not divide e.  So every odd prime
-    of Phi_e(base) is 1 mod e, the shape that x^lcm(2, e) + c needs, or
-    divides e (and is at most 96 here), which rho splits off at once.
-    The 2s are shifted out before rho runs.
+    Phi_n(x^r) = Phi_nr(x) for a prime r, times Phi_n(x) when r does not
+    divide n; this is applied once for each prime r of k, counted with
+    multiplicity.
+    """
+    orders = [e]
+    r = 2
+    while k > 1:
+        while k % r:
+            r += 1
+        k //= r
+        orders = [m * r for m in orders] + [m for m in orders if m % r]
+    return orders
+
+
+def _ppd_primes(p: int, k: int, e: int) -> tuple:
+    """Primes r with r | q^e - 1 and r not dividing q^i - 1 for i < e,
+    where q = p^k.
+
+    Every such r divides the cyclotomic factor Phi_e(q) of q^e - 1.  A
+    prime r of Phi_e(q) has order e / r^j mod r for some j >= 0, with j > 0
+    only if r | e, while order e forces r = 1 mod e, so r does not divide
+    e: r is primitive exactly when r does not divide e.  Phi_e(q) is not
+    factored as one number: it is the product of the values Phi_m(p) over
+    ``_cyclotomic_orders(e, k)``, and each is factored apart.  By the same
+    argument for p, every odd prime of Phi_m(p) is 1 mod m, the shape that
+    x^lcm(2, m) + c needs, or divides m (at most 95 here), which rho
+    splits off at once.  The 2s are shifted out before rho runs.
     """
     if e < 1:
         raise ValueError("e must be at least 1")
+    base = p ** k
     if e > 96:
         # base >= 2, so base^e - 1 >= 2^97 - 1: refused before it is formed
         raise ValueOutOfRangeError(f"{base}^{e} - 1 is not below 2**96")
     _check_range(base ** e - 1, f"{base}^{e} - 1")
-    value = _cyclotomic(e, base)
-    return tuple(r for r in sorted(set(_factor(value, math.lcm(2, e))))
-                 if e % r)
+    primes = set()
+    for m in _cyclotomic_orders(e, k):
+        primes.update(_factor(_cyclotomic(m, p), math.lcm(2, m)))
+    return tuple(r for r in sorted(primes) if e % r)
 
 
 def ppd(q, e: int) -> DivisorSet:
     """Primitive prime divisors of q^e - 1."""
     qq = _as_prime_power(q)
-    return DivisorSet("ppd", qq, e, _ppd_primes(qq.q, e))
+    return DivisorSet("ppd", qq, e, _ppd_primes(qq.p, qq.k, e))
 
 
 def bppd(q, e: int) -> DivisorSet:
     """Basic primitive prime divisors of q^e - 1: those of p^(ke) - 1."""
     qq = _as_prime_power(q)
-    return DivisorSet("bppd", qq, e, _ppd_primes(qq.p, qq.k * e))
+    return DivisorSet("bppd", qq, e, _ppd_primes(qq.p, 1, qq.k * e))
 
 
 def _enlarge(base_set: DivisorSet, flavor: str) -> DivisorSet:

@@ -120,7 +120,8 @@ def is_solvable(group: GroupHandle) -> SolvabilityResult:
     return _solvability_tuples(gens, group.degree, group.order())
 
 
-def _class_partition(group: GroupHandle) -> tuple:
+def _class_partition(group: GroupHandle,
+                     elements: list[tuple] | None = None) -> tuple:
     """The group's class record, checking the cap first.
 
     The record lists the conjugacy classes in ``conjugacy_classes`` order
@@ -128,14 +129,17 @@ def _class_partition(group: GroupHandle) -> tuple:
     ``array("I")``.  This is its one writer: ``conjugacy_classes``,
     ``elements_of_order`` and the scans' ``_PairJudge`` call it, and the
     first call on a handle walks the record and keeps it there; only that
-    call enumerates G.  Each class grows from its earliest member by a walk
-    over its members that pops every conjugate it reaches from
-    ``unassigned`` (element -> position); its order is its first member's.
+    call reads G, from ``elements`` when the caller has already listed G
+    in enumeration order, else from its own enumeration.  Each class grows
+    from its earliest member by a walk over its members that pops every
+    conjugate it reaches from ``unassigned`` (element -> position); its
+    order is its first member's.
     """
     _check_cap(group)
     if group._classes is not None:
         return group._classes
-    elements = list(group.chain.iter_tuples())
+    if elements is None:
+        elements = list(group.chain.iter_tuples())
     unassigned = {t: i for i, t in enumerate(elements)}
     conjugators = _conjugators([g.images for g in group.generators])
 
@@ -170,8 +174,8 @@ def conjugacy_classes(group: GroupHandle) -> list:
     enumeration order); each class representative is its earliest member.
     Requires the group to be within the enumeration cap.
     """
-    partition = _class_partition(group)
     elements = list(_element_tuples(group))  # every member is wrapped
+    partition = _class_partition(group, elements)  # a fresh handle's walk
     classes = []
     for elt_order, members_idx in partition:
         members = tuple(map(Permutation._wrap,

@@ -16,7 +16,9 @@ the counterexample recheck ran through the scan core, and ``criterion
 --group M12`` (exit 1, counterexample classes (1, 13)) before the recheck
 gave each verdict to the cells its generator moves reach.  ``alt-pair``
 6, 10 and 16 were recorded while ``alternating_pair`` still read its pairs
-for m <= 16 from hard-coded windows.
+for m <= 16 from hard-coded windows.  ``ppd 9 23``, ``ppd 49 17 --large``
+and ``ppd 32 19 --basic`` were recorded before Phi_e(p^k) was split into
+its pieces Phi_ed(p) for factoring.
 Commands run in-process through ``cli.main`` to keep the set fast.
 """
 
@@ -63,6 +65,18 @@ GOLDEN = [
      "89ad29ce00bf05bf134572f9f2359278cddb4abf79b7ce487538de2d9f9486dd"),
     ("ppd 2 89", "json", 0,
      "0a31e154573f5e4fc3ca67879beeae2be321717af7664275529784b7289f7789"),
+    ("ppd 9 23", "text", 0,
+     "4482e26457188a282632b3e0e32f0c410d6e98d6d47a4799eab04465480f469f"),
+    ("ppd 9 23", "json", 0,
+     "60a439db5d3f0d36b393417c471e70d80e9f1d6ee770b9caa6e92befb20d0881"),
+    ("ppd 49 17 --large", "text", 0,
+     "f0d33be323adfa4af9f8a8894877e1c879ecc4498161e2a6dad2555201d4b61c"),
+    ("ppd 49 17 --large", "json", 0,
+     "ecd8c0fdb790d00d9128691ace52330f47d35b2851b3f3363857c24ae682024f"),
+    ("ppd 32 19 --basic", "text", 0,
+     "472316612d9bb3bf26a3b92885a7e612ecf8ccadefd181e0eb9cf1a0eab8c864"),
+    ("ppd 32 19 --basic", "json", 0,
+     "e9791fd0d74aa3ccb32a564bd8d5593a49444262286a5f812260b441446d3ae3"),
     ("classes --group C1", "text", 0,
      "fd7b7d28f7ca5f63b1b8745b42ee657a128f9d17cb1380678bfda03962ed3ede"),
     ("classes --group C1", "json", 0,

@@ -12,6 +12,7 @@ from solvcrit.numbertheory import (
     PrimePower,
     ValueOutOfRangeError,
     _cyclotomic,
+    _cyclotomic_orders,
     _factor,
     _pollard_rho,
     _ppd_primes,
@@ -31,6 +32,41 @@ from solvcrit.numbertheory import (
 )
 
 
+# psi_j, the least strong pseudoprime to the first j prime bases (OEIS
+# A014233), for each j at which it grows; below psi_j those j bases decide
+PSI = {1: 2_047, 2: 1_373_653, 3: 25_326_001, 4: 3_215_031_751,
+       5: 2_152_302_898_747, 6: 3_474_749_660_383,
+       7: 341_550_071_728_321, 9: 3_825_123_056_546_413_051,
+       12: 318_665_857_834_031_151_167_461,
+       13: 3_317_044_064_679_887_385_961_981}
+BASES = tuple(sympy.primerange(98))  # the 25 primes 2..97
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _all_bases_is_prime(n):
+    # every one of the 25 bases on every n, with no proven shortcut
+    if n < 2:
+        return False
+    for a in BASES:
+        if n % a == 0:
+            return n == a
+    return all(_strong_probable_prime(n, a) for a in BASES)
+
+
 class TestPrimality:
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=300)
@@ -46,6 +82,20 @@ class TestPrimality:
         # psi_12 fools every base 2..37, psi_13 every base 2..41
         assert not is_prime(318665857834031151167461)
         assert not is_prime(3317044064679887385961981)
+
+    @pytest.mark.parametrize("j", sorted(PSI))
+    def test_each_psi_rejected(self, j):
+        # psi_j fools the first j bases, so it is tested with more
+        psi = PSI[j]
+        assert all(_strong_probable_prime(psi, a) for a in BASES[:j])
+        assert not is_prime(psi)
+
+    @given(st.sampled_from(sorted(PSI.values())),
+           st.integers(min_value=-2000, max_value=2000))
+    @settings(max_examples=500)
+    def test_matches_all_bases_around_each_psi(self, psi, offset):
+        n = (psi + offset) | 1
+        assert is_prime(n) == _all_bases_is_prime(n)
 
     def test_mersenne_recognition(self):
         assert [n for n in range(2, 200) if is_mersenne_prime(n)] == [3, 7, 31, 127]
@@ -292,7 +342,21 @@ class TestPpd:
                     cells.add((pp.p, pp.k * e))
         assert len(cells) == 601
         for base, e in sorted(cells):
-            assert _ppd_primes(base, e) == factor_everything(base, e), (base, e)
+            pp = PrimePower.of(base)
+            assert _ppd_primes(pp.p, pp.k, e) == \
+                factor_everything(base, e), (base, e)
+
+    def test_split_matches_factor_everything_on_larger_powers(self):
+        # prime powers above the grid, each split into several pieces
+        for q in (81, 125, 128, 243, 256, 343, 512, 625, 729, 1024):
+            pp = PrimePower.of(q)
+            e = 1
+            while q**e < 2**64:
+                expected = tuple(
+                    r for r in sorted(set(factorize(q**e - 1)))
+                    if all(pow(q, i, r) != 1 for i in range(1, e)))
+                assert _ppd_primes(pp.p, pp.k, e) == expected, (q, e)
+                e += 1
 
     def test_bppd_subset_of_ppd_and_strict_somewhere(self):
         strict = False
@@ -414,6 +478,26 @@ class TestAlternatingPair:
         assert p < q <= m
         if m not in (6, 10):
             assert 2 * p > m
+
+
+class TestCyclotomicSplit:
+    def test_pieces_multiply_to_phi(self):
+        # Phi_e(p^k) = prod of Phi_m(p): the m are e * k / d over the d | k
+        # prime to e, and e = 1 splits p^k - 1 over the divisors of k
+        for pp in prime_powers_upto(64):
+            if pp.k < 2:
+                continue
+            divisors = [d for d in range(1, pp.k + 1) if pp.k % d == 0]
+            e = 1
+            while pp.q**e < 2**96:
+                orders = _cyclotomic_orders(e, pp.k)
+                assert sorted(orders) == sorted(
+                    e * pp.k // d for d in divisors if math.gcd(d, e) == 1)
+                pieces = math.prod(_cyclotomic(m, pp.p) for m in orders)
+                assert pieces == _cyclotomic(e, pp.q), (pp.q, e)
+                e += 1
+            assert math.prod(_cyclotomic(m, pp.p)
+                             for m in _cyclotomic_orders(1, pp.k)) == pp.q - 1
 
 
 class TestCyclotomic:

@@ -424,6 +424,25 @@ class TestClassRecord:
         assert len(walks) == 1
         assert len(orders) <= g.order() + len(g._classes)
 
+    @pytest.mark.parametrize("name", ["A6", "M11", "C300"])
+    def test_classes_enumerate_g_once(self, monkeypatch, name):
+        # on a fresh handle the class walk reads the list of G that
+        # conjugacy_classes wraps; a recorded handle lists G only to wrap
+        g = catalog_group(name)
+        iter_tuples = StabilizerChain.iter_tuples
+        enumerations = []
+
+        def counting(chain):
+            if chain is g.chain:
+                enumerations.append(1)
+            return iter_tuples(chain)
+
+        monkeypatch.setattr(StabilizerChain, "iter_tuples", counting)
+        fresh = conjugacy_classes(g)
+        assert len(enumerations) == 1
+        assert repr(conjugacy_classes(g)) == repr(fresh)
+        assert len(enumerations) == 2
+
     @pytest.mark.parametrize("name", ["A6", "psl2:8", "M11"])
     def test_record_changes_no_result(self, name):
         # each query runs on a fresh handle, which walks its own classes,
