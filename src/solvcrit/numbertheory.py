@@ -16,13 +16,15 @@ Ramanujan prime R_2 is 11).
 Phi_e(q) holds every primitive prime divisor of q^e - 1, and for q = p^k
 it is a product of the smaller cyclotomic values Phi_ed(p) (the algebraic
 factorization of the Cunningham tables), so each of those is factored
-apart.  Inputs are range-checked against VALUE_LIMIT (2^96).  Primality
-is proven below psi_13 (about 3.3e24); above it, primes are only strong
-probable primes to the bases 2..97.
+apart.  The last 12 pieces factored are kept, so ppd, bppd, lpd and lbpd
+of one (q, e) factor each piece once.  Inputs are range-checked against
+VALUE_LIMIT (2^96).  Primality is proven below psi_13 (about 3.3e24);
+above it, primes are only strong probable primes to the bases 2..97.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,6 +274,17 @@ def _cyclotomic_orders(e: int, k: int) -> list:
     return orders
 
 
+# A bounded memo, sized to the largest call: an accepted call has k * e <= 95
+# (p^(ke) < 2^96), where _cyclotomic_orders(e, k) has at most 12 entries
+# (e = 1 with k = 60, 72, 84 or 90).  So ppd, bppd, lpd and lbpd of one
+# (q, e), asked in turn, factor each piece once, while a sweep over many
+# (q, e) factors every piece again on each pass.
+@functools.lru_cache(maxsize=12)
+def _cyclotomic_primes(m: int, p: int) -> tuple:
+    # the prime factors of Phi_m(p), by rho on x^lcm(2, m) + c
+    return _factor(_cyclotomic(m, p), math.lcm(2, m))
+
+
 def _ppd_primes(p: int, k: int, e: int) -> tuple:
     """Primes r with r | q^e - 1 and r not dividing q^i - 1 for i < e,
     where q = p^k.
@@ -284,7 +297,10 @@ def _ppd_primes(p: int, k: int, e: int) -> tuple:
     ``_cyclotomic_orders(e, k)``, and each is factored apart.  By the same
     argument for p, every odd prime of Phi_m(p) is 1 mod m, the shape that
     x^lcm(2, m) + c needs, or divides m (at most 95 here), which rho
-    splits off at once.  The 2s are shifted out before rho runs.
+    splits off at once.  The 2s are shifted out before rho runs.  Each
+    piece goes through the memo ``_cyclotomic_primes``: bppd(q, e)'s one
+    piece Phi_ke(p) is the first piece of ppd(q, e), and lpd and lbpd call
+    ppd and bppd again, so the four factor each piece of one (q, e) once.
     """
     if e < 1:
         raise ValueError("e must be at least 1")
@@ -295,7 +311,7 @@ def _ppd_primes(p: int, k: int, e: int) -> tuple:
     _check_range(base ** e - 1, f"{base}^{e} - 1")
     primes = set()
     for m in _cyclotomic_orders(e, k):
-        primes.update(_factor(_cyclotomic(m, p), math.lcm(2, m)))
+        primes.update(_cyclotomic_primes(m, p))
     return tuple(r for r in sorted(primes) if e % r)
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from solvcrit.numbertheory import (
     ValueOutOfRangeError,
     _cyclotomic,
     _cyclotomic_orders,
+    _cyclotomic_primes,
     _factor,
     _pollard_rho,
     _ppd_primes,
@@ -498,6 +500,116 @@ class TestCyclotomicSplit:
                 e += 1
             assert math.prod(_cyclotomic(m, pp.p)
                              for m in _cyclotomic_orders(1, pp.k)) == pp.q - 1
+
+
+def _grid_cells():
+    # the benchmark's ppd grid: prime powers q <= 64, 2 <= e <= 24,
+    # q^e < 2^96
+    return [(pp.q, e) for pp in prime_powers_upto(64)
+            for e in range(2, 25) if pp.q**e < 2**96]
+
+
+_FLAVORS = {"ppd": ppd, "bppd": bppd, "lpd": lpd, "lbpd": lbpd}
+
+
+class TestPieceMemo:
+    # _cyclotomic_primes keeps the last few factored pieces Phi_m(p), so
+    # that ppd, bppd, lpd and lbpd of one (q, e) factor each piece once
+
+    @pytest.fixture
+    def factor_calls(self, monkeypatch):
+        calls = []
+
+        def counting(n, power):
+            calls.append(n)
+            return _factor(n, power)
+
+        _cyclotomic_primes.cache_clear()
+        monkeypatch.setattr(numbertheory, "_factor", counting)
+        yield calls
+        _cyclotomic_primes.cache_clear()
+
+    def test_bound_is_the_largest_call(self):
+        # every accepted call has p^(ke) < 2^96, so k * e <= 95; a memo
+        # smaller than the largest call would factor that call's pieces
+        # again when lpd follows ppd
+        largest = max(len(_cyclotomic_orders(e, k))
+                      for k in range(1, 96) for e in range(1, 95 // k + 1))
+        assert largest == 12
+        assert _cyclotomic_primes.cache_info().maxsize == largest
+
+    def test_one_cell_factors_each_piece_once(self, factor_calls):
+        for q, e in ((43, 17), (32, 19), (64, 5), (2, 60)):
+            pp = PrimePower.of(q)
+            pieces = {_cyclotomic(m, pp.p)
+                      for m in _cyclotomic_orders(e, pp.k)}
+            pieces.add(_cyclotomic(pp.k * e, pp.p))  # bppd's one piece
+            factor_calls.clear()
+            for flavor in _FLAVORS.values():
+                flavor(q, e)
+            assert sorted(factor_calls) == sorted(pieces), (q, e)
+
+    def test_sweeps_factor_again(self, factor_calls):
+        # the memo holds 12 pieces, far fewer than the grid needs, so a
+        # second sweep in the same order factors as often as the third;
+        # only the first sweep, which starts cold, may differ, and by at
+        # most the 12 pieces the previous sweep can leave behind
+        cells = _grid_cells()
+        assert len(cells) == 524
+        random.Random(7).shuffle(cells)
+        counts = []
+        for _ in range(3):
+            factor_calls.clear()
+            for q, e in cells:
+                for flavor in _FLAVORS.values():
+                    flavor(q, e)
+            counts.append(len(factor_calls))
+        assert counts[1] == counts[2]
+        assert 0 <= counts[0] - counts[1] <= 12
+        pieces = set()
+        for q, e in cells:
+            pp = PrimePower.of(q)
+            pieces.update((m, pp.p) for m in _cyclotomic_orders(e, pp.k))
+        assert counts[1] >= len(pieces) - 12
+
+    _calls = st.lists(
+        st.tuples(st.sampled_from(sorted(_FLAVORS)),
+                  st.one_of(
+                      st.sampled_from(_grid_cells()),
+                      st.sampled_from([(q, e) for q in (81, 256, 729)
+                                       for e in range(1, 25)
+                                       if q**e < 2**96]),
+                      st.sampled_from([(pp.q, 1)
+                                       for pp in prime_powers_upto(64)]))),
+        min_size=1, max_size=8)
+
+    @given(_calls)
+    @settings(max_examples=40, deadline=None)
+    def test_memo_state_does_not_change_results(self, calls):
+        warm = [_FLAVORS[flavor](q, e) for flavor, (q, e) in calls]
+        for (flavor, (q, e)), result in zip(calls, warm):
+            _cyclotomic_primes.cache_clear()
+            assert _FLAVORS[flavor](q, e) == result, (flavor, q, e)
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: ppd(3, 30_000_000), ValueOutOfRangeError,
+         "3^30000000 - 1 is not below 2**96"),
+        (lambda: ppd(6, 3), ValueError, "6 is not a prime power"),
+        (lambda: bppd(4, 0), ValueError, "e must be at least 1"),
+        (lambda: ppd(2**96, 2), ValueOutOfRangeError,
+         f"value {2**96} is not below 2**96"),
+    ], ids=["exponent", "not-prime-power", "zero-exponent", "base"])
+    def test_refusals_ignore_the_memo(self, call, error, message):
+        for warm in (True, False):
+            _cyclotomic_primes.cache_clear()
+            if warm:
+                ppd(64, 5)
+            before = _cyclotomic_primes.cache_info()
+            with pytest.raises(error) as raised:
+                call()
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+            assert _cyclotomic_primes.cache_info() == before
 
 
 class TestCyclotomic:
