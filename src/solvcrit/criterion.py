@@ -29,9 +29,13 @@ itself, or by its conjugate under the other generator, keeps the subgroup,
 every cell of C x D that these moves reach, so every distinct subgroup
 <x, y> of the rectangle is still judged.
 
-Work a theorem settles is skipped: ``check_criterion`` judges nothing in a
-solvable group, whose subgroups are all solvable, and a verdict's chain
+Work a theorem settles is skipped.  ``check_criterion`` judges nothing in
+a solvable group, whose subgroups are all solvable: it reads the class
+record and composes only the class representatives.  A verdict's chain
 stops closing at |G|, which proves <x, y> = G (see ``StabilizerChain``).
+By Burnside's p^a q^b theorem a group whose order has at most two prime
+divisors is solvable (``_burnside``), so neither G nor such a proper
+<x, y> runs a derived series.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .engine import GroupHandle, StabilizerChain
-from .numbertheory import is_prime
+from .engine import GroupHandle, StabilizerChain, _check_cap
+from .numbertheory import factorize, is_prime
 from .permutation import (
     Permutation,
     _conjugates,
@@ -126,29 +130,40 @@ class _PairJudge:
 
     <x, y>'s chain is bounded by |G|, so a pair generating G stops closing
     as soon as its order reaches |G|, and G's solvability is reused without
-    rerunning the derived series.  The scans read G through ``classes``,
-    its class record (read first, so the cap is checked first): x is each
-    class's earliest member, and ``ys`` maps each scanned order to its
-    elements, composed once from their positions (``_witness_report``).
+    rerunning the derived series; a proper <x, y> whose order has at most
+    two prime divisors is solvable by Burnside's theorem (``_burnside``),
+    and only the rest run their derived series.  ``parent`` holds |G|'s
+    primes and G's solvability: ``check_criterion`` hands in what it has
+    decided, and other scans decide it on the first verdict.  The scans
+    read G through ``classes``, its class record (read first, so the cap
+    is checked first): x is each class's earliest member, and ``ys`` maps
+    each scanned order to its elements, composed once from their positions
+    (``_witness_report``).
     """
 
-    __slots__ = ("chain", "classes", "degree", "parent_order",
-                 "parent_solvable", "centralizers", "ys")
+    __slots__ = ("chain", "classes", "degree", "group", "parent",
+                 "parent_order", "centralizers", "ys")
 
     def __init__(self, group: GroupHandle):
         self.chain = group.chain
         self.classes = _class_partition(group)
         self.degree = group.degree
+        self.group = group
+        self.parent = None  # _parent_solvability(group), on first need
         self.parent_order = group.order()
-        self.parent_solvable = is_solvable(group).solvable
         self.centralizers: dict = {}
         self.ys: dict = {}
 
     def verdict(self, x: tuple, y: tuple) -> tuple:
         order = StabilizerChain.build((x, y), self.degree,
                                       bound=self.parent_order).order()
+        if self.parent is None:
+            self.parent = _parent_solvability(self.group)
+        primes, parent_solvable = self.parent
         if order == self.parent_order:
-            return order, self.parent_solvable
+            return order, parent_solvable
+        if _burnside(primes, order):
+            return order, True
         return order, _solvability_tuples((x, y), self.degree, order).solvable
 
     def mark_orbit(self, x: tuple, class_size: int, y: tuple) -> list:
@@ -192,31 +207,58 @@ class _PairJudge:
         return None
 
 
+def _parent_solvability(group: GroupHandle) -> tuple:
+    """(the prime divisors of |G|, whether G is solvable), with |G| factored
+    once; G's derived series runs only where ``_burnside`` cannot decide."""
+    order = group.order()
+    primes = frozenset(factorize(order)) if order > 1 else frozenset()
+    return primes, _burnside(primes, order) or is_solvable(group).solvable
+
+
+def _burnside(primes: frozenset, order: int) -> bool:
+    """Burnside's p^a q^b theorem: a group of ``order`` is solvable when at
+    most two primes divide it.  ``order`` divides |G|, so only |G|'s
+    ``primes`` can divide it."""
+    return sum(order % p == 0 for p in primes) <= 2
+
+
+def _class_refs(record: Sequence) -> tuple:
+    return tuple(ClassRef(i, order, len(positions))
+                 for i, (order, positions) in enumerate(record))
+
+
 def check_criterion(group: GroupHandle) -> CriterionReport:
     """Check every ordered pair of conjugacy classes for a solvable witness.
 
-    In a solvable group every subgroup is solvable, so each witness is (C's
-    representative, D's first member), and nothing is judged.  Otherwise x
-    is C's representative and y ranges over D in enumeration order (sound
-    by conjugation equivariance), one y judged per orbit of C_G(x) and of
+    The cap is checked first, and G's solvability is decided once
+    (``_parent_solvability``).  In a solvable group every subgroup is
+    solvable, so each witness is (C's representative, D's representative)
+    and nothing is judged: the report is read from the class record, and
+    only the representatives are composed.  Otherwise x is C's
+    representative and y ranges over D in enumeration order (sound by
+    conjugation equivariance), one y judged per orbit of C_G(x) and of
     coprime powers; ``subgroups_examined`` counts every y scanned.  The
     first failing pair is rechecked over every subgroup <x, y> of C x D
     (``_recheck_counterexample``) and reported as the counterexample.
     """
-    classes = conjugacy_classes(group)
-    refs = tuple(ClassRef(i, c.order_of_elements, c.size)
-                 for i, c in enumerate(classes))
-    members = [[m.images for m in c.members] for c in classes]
-    judge = _PairJudge(group)
-    if judge.parent_solvable:
-        witnesses = {(i, j): (c.representative, d.members[0])
-                     for i, c in enumerate(classes)
-                     for j, d in enumerate(classes)}
-        return CriterionReport(holds=True, classes=refs,
+    _check_cap(group)
+    parent = _parent_solvability(group)
+    if parent[1]:
+        record = _class_partition(group)
+        reps = list(map(Permutation._wrap, group.chain.tuples_at(
+            [positions[0] for _order, positions in record])))
+        witnesses = {(i, j): (x, y) for i, x in enumerate(reps)
+                     for j, y in enumerate(reps)}
+        return CriterionReport(holds=True, classes=_class_refs(record),
                                pairs_checked=len(witnesses),
                                solvable_witnesses=witnesses,
                                subgroups_examined=len(witnesses))
 
+    classes = conjugacy_classes(group)  # a fresh handle's walk reads its list
+    members = [[m.images for m in c.members] for c in classes]
+    judge = _PairJudge(group)
+    judge.parent = parent
+    refs = _class_refs(judge.classes)
     witnesses = {}
     tally: Counter = Counter()
 
@@ -347,11 +389,17 @@ def search_witness_pairs(group: GroupHandle,
     returned in lexicographic order.  With ``restrict_to_primes``, only
     pairs of distinct primes are tried.  Every candidate is scanned as in
     ``verify_witness_pair`` by one judge, so the candidates share its
-    centralizers and its per-order y-lists (no verdict is shared).
+    centralizers and its per-order y-lists (no verdict is shared).  The
+    candidates run b-major, so each y-list is dropped after its last
+    candidate (a, b) and the judge holds one at a time.
     """
     judge = _PairJudge(group)
     orders = sorted({order for order, _positions in judge.classes})
-    return [(a, b) for i, a in enumerate(orders) for b in orders[i:]
-            if not (restrict_to_primes
-                    and (a == b or not is_prime(a) or not is_prime(b)))
-            and _witness_report(judge, a, b).verified]
+    found = []
+    for j, b in enumerate(orders):
+        found += [(a, b) for a in orders[:j + 1]
+                  if not (restrict_to_primes
+                          and (a == b or not is_prime(a) or not is_prime(b)))
+                  and _witness_report(judge, a, b).verified]
+        judge.ys.pop(b, None)
+    return sorted(found)

@@ -19,6 +19,7 @@ from solvcrit.criterion import (
     verify_witness_pair,
 )
 from solvcrit.engine import StabilizerChain, build_group, enumerate_elements
+from solvcrit.numbertheory import factorize, is_prime
 from solvcrit.permutation import (
     Permutation,
     _cyclic_generators,
@@ -28,6 +29,7 @@ from solvcrit.permutation import (
 from solvcrit.structure import (
     _class_partition,
     _positions_of_order,
+    _solvability_tuples,
     conjugacy_classes,
     elements_of_order,
     is_solvable,
@@ -96,6 +98,37 @@ class TestCheckCriterion:
             assert check_criterion(g).holds == is_solvable(g).solvable
 
 
+def _scan_core_report(g):
+    # the report of the scan core judging every class pair of g
+    classes = conjugacy_classes(g)
+    judge = _PairJudge(g)
+    witnesses, examined = {}, 0
+    for i, c in enumerate(classes):
+        x = c.representative.images
+        for j, d in enumerate(classes):
+            tally = Counter()
+            mark = partial(judge.mark_orbit, x, c.size)
+            y = judge.first_solvable(x, mark, [m.images for m in d.members],
+                                     tally)
+            witnesses[i, j] = (c.representative, Permutation(y))
+            examined += sum(tally.values())
+    refs = tuple(ClassRef(i, c.order_of_elements, c.size)
+                 for i, c in enumerate(classes))
+    return CriterionReport(holds=True, classes=refs,
+                           pairs_checked=len(witnesses),
+                           solvable_witnesses=witnesses,
+                           subgroups_examined=examined)
+
+
+def _s3_wr_s3():
+    # S3 wr S3 on three blocks of three points: S3 on the first block and
+    # S3 permuting the blocks; 6^3 * 6 = 1296 elements in 22 classes
+    g = build_group([perm(text, 9) for text in (
+        "(1 2 3)", "(1 2)", "(1 4 7)(2 5 8)(3 6 9)", "(1 4)(2 5)(3 6)")])
+    assert g.order() == 1296
+    return g
+
+
 class TestSolvableParentShortcut:
     def test_report_equals_scan_core(self, group):
         # the shortcut judges no subgroup; its report must be the one the
@@ -103,25 +136,44 @@ class TestSolvableParentShortcut:
         cases = [group(name) for name in ("S4", "C6", "F20", "D12", "D60")]
         cases.append(_agl1(31, 3))
         for g in cases:
-            classes = conjugacy_classes(g)
-            judge = _PairJudge(g)
-            witnesses, examined = {}, 0
-            for i, c in enumerate(classes):
-                x = c.representative.images
-                for j, d in enumerate(classes):
-                    tally = Counter()
-                    mark = partial(judge.mark_orbit, x, c.size)
-                    y = judge.first_solvable(x, mark,
-                                             [m.images for m in d.members],
-                                             tally)
-                    witnesses[i, j] = (c.representative, Permutation(y))
-                    examined += sum(tally.values())
-            refs = tuple(ClassRef(i, c.order_of_elements, c.size)
-                         for i, c in enumerate(classes))
-            scanned = CriterionReport(
-                holds=True, classes=refs, pairs_checked=len(witnesses),
-                solvable_witnesses=witnesses, subgroups_examined=examined)
-            assert check_criterion(g) == scanned, g
+            assert check_criterion(g) == _scan_core_report(g), g
+
+    @pytest.mark.parametrize("build", [lambda: catalog_group("S4"),
+                                       lambda: _agl1(31, 3), _s3_wr_s3],
+                             ids=["S4", "AGL(1,31)", "S3wrS3"])
+    def test_composes_only_the_representatives(self, monkeypatch, build):
+        # a recorded handle is never listed and no class is wrapped: one
+        # tuples_at call composes the classes' first members; a fresh
+        # handle's only listing is its class walk
+        g = build()
+        fresh = check_criterion(g)
+        record = g._classes
+        assert record is not None and fresh.holds
+        iter_tuples, tuples_at = (StabilizerChain.iter_tuples,
+                                  StabilizerChain.tuples_at)
+        listed, composed = [], []
+
+        def counting(chain):
+            if chain is g.chain:
+                listed.append(1)
+            return iter_tuples(chain)
+
+        def recording(chain, positions):
+            if chain is g.chain:
+                composed.append(list(positions))
+            return tuples_at(chain, positions)
+
+        def refuse(group):
+            raise AssertionError("solvable G wrapped as conjugacy classes")
+
+        monkeypatch.setattr(StabilizerChain, "iter_tuples", counting)
+        monkeypatch.setattr(StabilizerChain, "tuples_at", recording)
+        monkeypatch.setattr(criterion, "conjugacy_classes", refuse)
+        recorded = check_criterion(g)
+        monkeypatch.undo()
+        assert listed == []
+        assert composed == [[positions[0] for _order, positions in record]]
+        assert fresh == recorded == _scan_core_report(g)
 
     def test_s4_witnesses_pass_the_oracles(self, group):
         g = group("S4")
@@ -245,6 +297,55 @@ class TestVerdicts:
                 assert judge.verdict(y, x) == expected[x, y]
 
 
+class TestBurnside:
+    # check_criterion's and search_witness_pairs' derived-series runs, one
+    # per verdict that neither |G| nor Burnside's theorem settles; every
+    # verdict must equal the derived series' answer
+    RUNS = {"A5": (0, 0), "A6": (22, 9), "S4": (0, 0), "psl2:7": (0, 0),
+            "psl2:8": (0, 0), "psl2:11": (3, 6), "M11": (28, 91),
+            "SL(2,5)": (0, 0), "A5xA5": (116, 26), "A5wrC2": (14, 26),
+            "A5xC6": (68, 14)}
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_shortcut_agrees_with_the_derived_series(self, group,
+                                                     monkeypatch, name):
+        g = group(name)
+        runs = self.RUNS[name]
+        _class_partition(g)
+        primes = set(factorize(g.order()))
+        verdict, series = _PairJudge.verdict, criterion._solvability_tuples
+        verdicts, counted = [], []
+
+        def recording(judge, x, y):
+            result = verdict(judge, x, y)
+            assert judge.parent[0] == primes
+            verdicts.append((x, y, result))
+            return result
+
+        def counting(*args):
+            counted[-1] += 1
+            return series(*args)
+
+        monkeypatch.setattr(_PairJudge, "verdict", recording)
+        monkeypatch.setattr(criterion, "_solvability_tuples", counting)
+        for scan in (check_criterion, search_witness_pairs):
+            counted.append(0)
+            scan(g)
+        monkeypatch.undo()
+        assert tuple(counted) == runs, name
+        settled = 0
+        for x, y, (order, solvable) in verdicts:
+            if order == g.order():
+                assert solvable == is_solvable(g).solvable
+                continue
+            assert solvable == _solvability_tuples(
+                (x, y), g.degree, order).solvable, (name, order)
+            if criterion._burnside(primes, order):
+                settled += 1
+                assert solvable, (name, order)
+        assert settled > 0, name
+
+
 class TestSearchWitnessPairs:
     def test_a5_contains_3_5(self, group):
         assert (3, 5) in search_witness_pairs(group("A5"))
@@ -266,6 +367,32 @@ class TestSearchWitnessPairs:
         pairs = search_witness_pairs(group("psl2:11"), restrict_to_primes=True)
         assert pairs == [(2, 11), (3, 5), (3, 11)]
         assert all(a != b for a, b in pairs)
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize("primes", [False, True], ids=["all", "primes"])
+    @pytest.mark.parametrize("name", ["A5", "A6", "A7", "M11"])
+    def test_one_y_list_at_a_time(self, group, monkeypatch, name, primes):
+        # b-major candidates drop each y-list after its last one, and the
+        # result is the a-major scan's, in lexicographic order
+        g = group(name)
+        judge = _PairJudge(g)
+        orders = sorted({order for order, _positions in judge.classes})
+        expected = [(a, b) for i, a in enumerate(orders) for b in orders[i:]
+                    if not (primes and (a == b or not is_prime(a)
+                                        or not is_prime(b)))
+                    and _witness_report(judge, a, b).verified]
+        report, held = criterion._witness_report, []
+
+        def recording(judge, a, b):
+            held.append(len(judge.ys))
+            out = report(judge, a, b)
+            held.append(len(judge.ys))
+            return out
+
+        monkeypatch.setattr(criterion, "_witness_report", recording)
+        assert search_witness_pairs(g, primes) == expected, name
+        assert max(held) == 1, name
 
 
 class TestScanCore:
@@ -792,16 +919,17 @@ def _count_enumerations(monkeypatch, g, scan):
 _SCANS = [("M11", lambda g: verify_witness_pair(g, 2, 11), 0),
           ("A6", search_witness_pairs, 0),
           ("A6", check_criterion, 1),
-          ("S4", check_criterion, 1)]
+          ("S4", check_criterion, 0)]
 _SCAN_IDS = ["verify-M11", "search-A6", "criterion-A6", "criterion-S4"]
 
 
 class TestScanEnumerations:
     # the scans read G through its class record: G is enumerated by the
     # class walk of a fresh handle and by each centralizer sweep, which
-    # streams the chain; check_criterion lists G for conjugacy_classes,
-    # which wraps every element (``lists``), and on a fresh handle the
-    # walk reads that same list
+    # streams the chain; check_criterion on a nonsolvable G lists G for
+    # conjugacy_classes, which wraps every element (``lists``), and on a
+    # fresh handle the walk reads that same list; on a solvable G it reads
+    # the record and composes the class representatives alone
     @pytest.mark.parametrize("name, scan",
                              [(name, scan) for name, scan, _ in _SCANS],
                              ids=_SCAN_IDS)

@@ -5,7 +5,7 @@ from types import GeneratorType
 import pytest
 
 import oracles
-from solvcrit import structure
+from solvcrit import criterion, structure
 from solvcrit.catalog import catalog_group
 from solvcrit.criterion import (
     check_criterion,
@@ -478,18 +478,39 @@ class TestClassRecord:
         assert relabelled._classes == again._classes
 
     def test_cap_applies_to_recorded_handle(self, group, monkeypatch):
-        g = group("A5")
-        conjugacy_classes(g)
-        assert g._classes is not None
+        # S4 is solvable, so check_criterion reads only its record
+        for name in ("A5", "S4"):
+            g = group(name)
+            conjugacy_classes(g)
+            assert g._classes is not None
+            with monkeypatch.context() as m:
+                m.setenv("SOLVCRIT_ENUM_CAP", "10")
+                for query in (order_spectrum,
+                              lambda g: elements_of_order(g, 3),
+                              conjugacy_classes,
+                              lambda g: verify_witness_pair(g, 2, 3),
+                              search_witness_pairs,
+                              check_criterion):
+                    with pytest.raises(EnumerationCapExceeded):
+                        query(g)
+
+    def test_cap_comes_before_solvability(self, monkeypatch):
+        # a fresh solvable handle above the cap is refused before |G| is
+        # factored or a derived series is run
+        def refuse(*args):
+            raise AssertionError("solvability decided above the cap")
+
+        for attr in ("is_solvable", "factorize"):
+            monkeypatch.setattr(criterion, attr, refuse)
+        monkeypatch.setattr(structure, "is_solvable", refuse)
         monkeypatch.setenv("SOLVCRIT_ENUM_CAP", "10")
-        for query in (order_spectrum,
-                      lambda g: elements_of_order(g, 5),
-                      conjugacy_classes,
-                      lambda g: verify_witness_pair(g, 3, 5),
-                      search_witness_pairs,
-                      check_criterion):
+        for query in (check_criterion,
+                      lambda g: verify_witness_pair(g, 2, 3),
+                      search_witness_pairs):
+            g = catalog_group("S4")
             with pytest.raises(EnumerationCapExceeded):
                 query(g)
+            assert g._classes is None
 
 
 def _agl1(p, root):
