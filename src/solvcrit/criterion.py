@@ -8,12 +8,12 @@ Two predicates drive everything here:
 * ``verify_witness_pair``: do all pairs (x, y) with |x| = a, |y| = b generate
   a nonsolvable subgroup?  Such (a, b) exist in every nonabelian simple group.
 
-Every pair scan runs through one core, ``_PairJudge.first_solvable``.  With
-x fixed, it judges y in order; after a nonsolvable verdict, the caller's
-``mark(y)`` names the y' that share y's verdict, and each is settled with
-it.  Every scanned y is tallied with its verdict, so the reports are those
-of a scan that judges every y, and scans are deterministic (enumeration
-order, first hit wins).
+The class-pair and witness scans run through one core,
+``_PairJudge.first_solvable``.  With x fixed, it judges y in order; after
+a nonsolvable verdict, every y' in y's orbit (``mark_orbit``) is settled
+with it.  Every scanned y is tallied with its verdict, so the reports are
+those of a scan that judges every y, and scans are deterministic
+(enumeration order, first hit wins).
 
 The scans rest on conjugation equivariance, <x^g, y^g> = <x, y>^g: x is a
 class representative, and ``mark_orbit`` names y's orbit under the
@@ -25,8 +25,9 @@ enumeration.  Marking costs phi(|y|) |C_G(x)| conjugations per judged y.
 The exhaustive recheck of a criterion counterexample (C, D) rests on
 equalities of subgroups alone: replacing a generator by a coprime power of
 itself, or by its conjugate under the other generator, keeps the subgroup,
-<x, y> = <x^k, y> = <y^-1 x y, y> = <x, x^-1 y x>.  One verdict settles
-every cell of C x D that these moves reach, so every distinct subgroup
+<x, y> = <x^k, y> = <y^-1 x y, y> = <x, x^-1 y x>.  It judges the cells
+of C x D in row-major order with ``_PairJudge.verdict``, and one verdict
+settles every cell that these moves reach, so every distinct subgroup
 <x, y> of the rectangle is still judged.
 
 Work a theorem settles is skipped.  ``check_criterion`` judges nothing in
@@ -43,8 +44,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .engine import GroupHandle, StabilizerChain, _check_cap
 from .numbertheory import factorize, is_prime
@@ -183,16 +183,14 @@ class _PairJudge:
         return [c for z in _cyclic_generators(y)
                 for c in _conjugates(z, conjugators)]
 
-    def first_solvable(self, x: tuple, mark: Callable, ys: Iterable[tuple],
+    def first_solvable(self, x: tuple, class_size: int, ys: Iterable[tuple],
                        outcomes: Counter) -> tuple | None:
         """The first y, in ``ys`` order, with <x, y> solvable, else None.
 
         Each y up to and including it is tallied in ``outcomes`` with its
-        verdict.  After a nonsolvable verdict, ``mark(y)`` names the y'
-        whose <x, y'> must share it, and each is settled with that verdict:
-        the scans name y's orbit (``mark_orbit``), and the recheck names
-        none, as it keeps settled cells in its own record, which its ``ys``
-        reads.  No settled y is judged again.
+        verdict.  After a nonsolvable verdict, every y' in y's orbit
+        (``mark_orbit``; ``class_size`` is |x^G|) is settled with that
+        verdict, and no settled y is judged again.
         """
         known: dict = {}  # settled y -> its verdict
         for y in ys:
@@ -200,7 +198,8 @@ class _PairJudge:
             if verdict is None:
                 verdict = self.verdict(x, y)
                 if not verdict[1]:
-                    known.update(dict.fromkeys(mark(y), verdict))
+                    known.update(dict.fromkeys(
+                        self.mark_orbit(x, class_size, y), verdict))
             outcomes[verdict] += 1
             if verdict[1]:
                 return y
@@ -264,9 +263,8 @@ def check_criterion(group: GroupHandle) -> CriterionReport:
 
     for i, class_c in enumerate(classes):
         x = class_c.representative
-        mark = partial(judge.mark_orbit, x.images, class_c.size)
         for j, ys in enumerate(members):
-            y = judge.first_solvable(x.images, mark, ys, tally)
+            y = judge.first_solvable(x.images, class_c.size, ys, tally)
             if y is not None:
                 witnesses[(i, j)] = (x, Permutation._wrap(y))
                 continue
@@ -289,11 +287,11 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
     rectangle is walked in cyclic cells: one row per cyclic group <x> and
     one column per <y>, named by their first members in ``xs`` and ``ys``.
     A generator may also be replaced by its conjugate under the other, as
-    <x, y> = <x, x^-1 y x> = <y^-1 x y, y>.  Cells are judged in row order
-    through ``first_solvable``, and a nonsolvable verdict settles every cell
-    that these two moves reach.  Each move permutes the cells, so forward
-    moves reach the whole orbit, and one pair is judged per orbit: every
-    distinct subgroup <x, y> of the rectangle is judged.
+    <x, y> = <x, x^-1 y x> = <y^-1 x y, y>.  The first unsettled cell, in
+    row-major order, is judged with ``verdict``, and a nonsolvable verdict
+    settles every cell that these two moves reach.  Each move permutes the
+    cells, so forward moves reach the whole orbit, and one pair is judged
+    per orbit: every distinct subgroup <x, y> of the rectangle is judged.
     """
     rows, row_of = _cyclic_cells(xs)
     cols, col_of = _cyclic_cells(ys)
@@ -301,30 +299,23 @@ def _recheck_counterexample(judge: _PairJudge, xs: Sequence[tuple],
     row_maps = [(_mult_by(x), _mult_by(_inv(x))) for x in rows]
     col_maps = [(_mult_by(y), _mult_by(_inv(y))) for y in cols]
     settled = bytearray(len(rows) * width)  # cell r * width + c
-
-    def walk(r: int, y: tuple) -> tuple:
-        # settle y's cell in row r and every cell the two moves reach in
-        # ``settled``, which the rows' ys read, so no y is named
-        cell = r * width + col_of[y]
-        settled[cell] = 1
-        stack = array("I", (cell,))
-        while stack:
-            r, c = divmod(stack.pop(), width)
-            (by_x, by_x_inv), (by_y, by_y_inv) = row_maps[r], col_maps[c]
-            for cell in (r * width + col_of[by_x_inv(by_y(rows[r]))],
-                         row_of[by_y_inv(by_x(cols[c]))] * width + c):
-                if not settled[cell]:
-                    settled[cell] = 1
-                    stack.append(cell)
-        return ()
-
-    for r, x in enumerate(rows):
-        base = r * width
-        unsettled = (y for c, y in enumerate(cols) if not settled[base + c])
-        if judge.first_solvable(x, partial(walk, r), unsettled,
-                                Counter()) is not None:
+    cell = settled.find(0)
+    while cell >= 0:
+        r, c = divmod(cell, width)
+        if judge.verdict(rows[r], cols[c])[1]:
             raise AssertionError("reduced scan missed a solvable pair; "
                                  "equivariance violated (engine bug)")
+        settled[cell] = 1
+        stack = array("I", (cell,))
+        while stack:  # settle every cell that the two moves reach
+            r, c = divmod(stack.pop(), width)
+            (by_x, by_x_inv), (by_y, by_y_inv) = row_maps[r], col_maps[c]
+            for reached in (r * width + col_of[by_x_inv(by_y(rows[r]))],
+                            row_of[by_y_inv(by_x(cols[c]))] * width + c):
+                if not settled[reached]:
+                    settled[reached] = 1
+                    stack.append(reached)
+        cell = settled.find(0, cell + 1)
 
 
 def _cyclic_cells(members: Sequence[tuple]) -> tuple:
@@ -370,8 +361,7 @@ def _witness_report(judge: _PairJudge, a: int, b: int) -> WitnessReport:
     outcomes: Counter = Counter()
     counterexample = None
     for x, positions in zip(xs, classes):
-        y = judge.first_solvable(
-            x, partial(judge.mark_orbit, x, len(positions)), ys, outcomes)
+        y = judge.first_solvable(x, len(positions), ys, outcomes)
         if y is not None:
             counterexample = (Permutation._wrap(x), Permutation._wrap(y))
             break

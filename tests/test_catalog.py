@@ -12,6 +12,7 @@ from sympy.polys.galoistools import (
     gf_strip,
 )
 
+from solvcrit import catalog
 from solvcrit.catalog import (
     GroupFileError,
     OrderGateError,
@@ -77,6 +78,35 @@ class TestConstructors:
             make_cyclic(0)
         with pytest.raises(ValueError):
             make_dihedral(0)
+
+    @pytest.mark.parametrize("name, message", [
+        ("C2001", "need n <= 2000"), ("D2001", "need n <= 2000"),
+        ("C1000000000000", "need n <= 2000"), ("S101", "need m <= 100"),
+        ("A101", "need m <= 100"), ("A1000000000", "need m <= 100")])
+    def test_refuses_oversized_names_before_building(self, monkeypatch, name,
+                                                     message):
+        # nothing of the group's size is built: no generator is parsed and
+        # no chain is started
+        def unbuilt(*args, **kwargs):
+            raise AssertionError(f"{name} was built")
+
+        monkeypatch.setattr(catalog, "build_group", unbuilt)
+        monkeypatch.setattr(catalog, "parse_cycles", unbuilt)
+        with pytest.raises(ValueError) as refused:
+            catalog_group(name)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("name", ["C2000", "D2000", "S100", "A100"])
+    def test_largest_names_reach_the_build(self, monkeypatch, name):
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(catalog, "build_group", built)
+        with pytest.raises(Built):
+            catalog_group(name)
 
 
 class TestPsl2:

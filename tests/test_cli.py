@@ -154,6 +154,18 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "error: unknown catalog group ''\n"
 
+    @pytest.mark.parametrize("name, message", [
+        ("A1000000000", "need m <= 100"), ("C1000000000000", "need n <= 2000")])
+    def test_oversized_catalog_name_exits_two(self, run, monkeypatch, name,
+                                              message):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError(f"{name} was built")
+
+        monkeypatch.setattr(solvcrit.catalog, "build_group", unbuilt)
+        monkeypatch.setattr(solvcrit.catalog, "parse_cycles", unbuilt)
+        code, out, err = run("order", "--group", name)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_file_exits_two(self, run):
         code, _, err = run("order", "--file", "/nonexistent.grp")
         assert code == 2

@@ -1,7 +1,7 @@
+import hashlib
 import math
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
@@ -107,8 +107,7 @@ def _scan_core_report(g):
         x = c.representative.images
         for j, d in enumerate(classes):
             tally = Counter()
-            mark = partial(judge.mark_orbit, x, c.size)
-            y = judge.first_solvable(x, mark, [m.images for m in d.members],
+            y = judge.first_solvable(x, c.size, [m.images for m in d.members],
                                      tally)
             witnesses[i, j] = (c.representative, Permutation(y))
             examined += sum(tally.values())
@@ -434,7 +433,7 @@ class _CountingJudge(_PairJudge):
 class _UnreducedJudge(_PairJudge):
     """The scan core with no orbit reduction: every y is judged."""
 
-    def first_solvable(self, x, mark, ys, outcomes):
+    def first_solvable(self, x, class_size, ys, outcomes):
         for y in ys:
             verdict = self.verdict(x, y)
             outcomes[verdict] += 1
@@ -613,7 +612,9 @@ class TestRecheck:
     @pytest.mark.parametrize("name, rectangle", [
         ("A5", "counterexample"), ("A6", "counterexample"),
         ("A6", "3cycles-involutions"), ("SL(2,5)", "counterexample"),
-        ("A5xA5", "counterexample"), ("A5xC6", "counterexample")])
+        ("A5xA5", "counterexample"), ("A5xC6", "counterexample"),
+        ("psl2:7", "counterexample"), ("psl2:8", "counterexample"),
+        ("psl2:11", "counterexample")])
     def test_recheck_judges_every_subgroup_of_the_rectangle(
             self, group, name, rectangle):
         # every cell (x, y) generates the same subgroup as some judged pair,
@@ -668,6 +669,41 @@ class TestRecheck:
             judge = _CountingJudge(g)
             criterion._recheck_counterexample(judge, xs, ys)
             assert len(judge.judged) == judged, name
+
+    @pytest.mark.parametrize("name, digests", [
+        ("A6", (
+            "b14aeb21fdea2aaa68e5158fef8fa7ba3c179e7f65be5a4448f702e2bcb25793",
+            "b06b4cd60fb5998ebf1132f460a5ee9e842f07326032bf71397b60d06d1fa0aa",
+        )),
+        ("psl2:8", (
+            "1628fbcc194454930c0b2e7dc21dc07dda1fb1d83cdabae67a5eaececf8ce7c6",
+            "c5da5261a812493c96272909402df8e5a798773aa028eb51eb3811112f19fb38",
+        )),
+        ("psl2:11", (
+            "b7a996e0170c0f2c70bd576adfb04a52dd2eae02b46f85891efdf604c015eee9",
+            "afae6b0f2162a31e4d7d73b70aaed1fd6e761b3a505e8562ae4798ab6e7e50f5",
+        )),
+        ("M11", (
+            "7d9c060f3ad5af4ea6df8c5f99349227579a473b33d4f9a937641958c7c98f99",
+            "0423e4b587f93ca6d0592d25a3d998cfb228b1da33981c08fc5a92db2e0a1895",
+        ))])
+    def test_recheck_judges_in_row_major_order(self, group, name, digests):
+        # the judged pairs, in order, in either argument order: the order
+        # sets the first solvable pair that the recheck would report.  Each
+        # judged pair is the first unsettled cell, so the cells' row-major
+        # indices increase
+        g = group(name)
+        c, d = _rectangle(g, "counterexample")
+        for (xs, ys), digest in zip(((c, d), (d, c)), digests):
+            judge = _CountingJudge(g)
+            criterion._recheck_counterexample(judge, xs, ys)
+            assert hashlib.sha256(
+                repr(judge.judged).encode()).hexdigest() == digest, name
+            (_rows, row_of), (cols, col_of) = map(criterion._cyclic_cells,
+                                                  (xs, ys))
+            cells = [row_of[x] * len(cols) + col_of[y]
+                     for x, y in judge.judged]
+            assert all(a < b for a, b in zip(cells, cells[1:])), name
 
 
 class TestNonsimpleGroups:
